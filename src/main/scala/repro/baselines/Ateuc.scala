@@ -55,46 +55,38 @@ object Ateuc {
     // Confidence level across all prefixes and iterations (union bound).
     val a = math.log(n.toDouble) + math.log(MaxIterations / 0.01)
 
-    val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-    var generated = 0L
-    def grow(upTo: Long): Unit = {
-      val need = (upTo - generated).toInt
-      if (need > 0) { sets ++= ctx.generate(generated, need); generated += need }
-    }
-
     var theta = InitialTheta.toLong
     var iter = 1
     var fallback: Array[Int] = Array.empty
     while (iter <= MaxIterations) {
-      grow(theta)
-      val seq = Coverage.greedySequence(n, sets.toIndexedSeq, n)
+      ctx.growTo(theta)
+      val seq = Coverage.greedySequence(n, ctx.sets, n)
       var sL = -1
       var sU: Array[Int] = null
       var plain: Array[Int] = null
       var i = 0
       while (i < seq.length && sU == null) {
         val c = seq(i)._3
-        if (sL < 0 && n * Trim.lamUpper(c, a) / generated >= eta) sL = i + 1
-        if (plain == null && n.toDouble * c / generated >= eta)
+        if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = i + 1
+        if (plain == null && n.toDouble * c / theta >= eta)
           plain = seq.take(i + 1).map(_._1).toArray
-        if (n * Trim.lamLower(c, a) / generated >= eta)
+        if (n * Trim.lamLower(c, a) / theta >= eta)
           sU = seq.take(i + 1).map(_._1).toArray
         i += 1
       }
       if (plain != null) fallback = plain
       if (sU != null && sL > 0 && sU.length <= 2 * sL)
-        return AteucResult(sU, estSpread(n, sets.toIndexedSeq, sU),
-                           ctx.totalSamples, ctx.totalWork, iter)
+        return AteucResult(sU, estSpread(n, ctx.sets, sU), ctx.totalSamples, ctx.totalWork, iter)
       theta *= 2
       iter += 1
     }
     // Budget exhausted: return the last estimate-feasible prefix (still a
     // sensible non-adaptive answer; flagged by iterations == MaxIterations+1).
     val finalSeeds = if (fallback.nonEmpty) fallback else Array.tabulate(n)(identity)
-    AteucResult(finalSeeds, estSpread(n, sets.toIndexedSeq, finalSeeds),
+    AteucResult(finalSeeds, estSpread(n, ctx.sets, finalSeeds),
                 ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
   }
 
-  private def estSpread(n: Int, sets: IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
+  private def estSpread(n: Int, sets: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
     n.toDouble * Coverage.coveredBy(sets, seeds) / sets.length
 }

@@ -18,14 +18,15 @@ sealed trait Selector {
   def select(ctx: MRRSamplerCtx, eps: Double): SelectResult
 }
 
-/** ASTI instantiated by TRIM (batch size 1). */
+/** ASTI instantiated by TRIM, which is TRIM-B with batch size 1. */
 case object TrimSelector extends Selector {
   val name = "ASTI"
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = Trim.select(ctx, eps)
+  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = TrimB.select(ctx, eps, 1)
 }
 
 /** ASTI instantiated by TRIM-B with batch size b (paper's ASTI-b). */
 final case class TrimBSelector(b: Int) extends Selector {
+  require(b >= 1, s"batch size b=$b must be at least 1")
   val name = s"ASTI-$b"
   def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = TrimB.select(ctx, eps, b)
 }
@@ -34,12 +35,12 @@ final case class TrimBSelector(b: Int) extends Selector {
   * expected marginal spread with single-root RR-sets (Han et al. VLDB'18,
   * modified for seed minimization as in §6.1). No truncation — which is
   * exactly why its per-round sample count scales with n_i/OPT′_i instead of
-  * η_i/OPT_i.
+  * η_i/OPT_i. The loop is TRIM's, with n_i as the estimation target.
   */
 case object AdaptImSelector extends Selector {
   val name = "ADAPTIM"
   override val vanillaRoots = true
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = Trim.select(ctx, eps)
+  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = TrimB.select(ctx, eps, 1)
 }
 
 /** Result of one adaptive run on one realization. */
@@ -72,6 +73,7 @@ object Asti {
   def run(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int, eps: Double,
           selector: Selector, model: DiffusionModel, realizationSeed: Long,
           algoSeed: Long): AstiResult = {
+    require(eps > 0 && eps < 1, s"ε=$eps must lie in (0, 1)")
     val g = bg.value
     val state = new ResidualState(g, eta)
     val real = new Realization(g, model, realizationSeed)

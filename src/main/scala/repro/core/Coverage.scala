@@ -3,9 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Coverage bookkeeping over a collection of (m)RR-sets: Λ_R(v) is the number
-  * of sets containing v (§3.4). Driver counting backs the tight inner loop;
-  * the RDD and DataFrame variants are the distributed mirrors used for large
-  * set collections and for oracle checks.
+  * of sets containing v (§3.4). Counting runs on the driver, over the sample
+  * pool; the exploded DataFrame view lets the DuckDB oracle check it.
   */
 object Coverage {
 
@@ -31,18 +30,6 @@ object Coverage {
     (best, counts(best))
   }
 
-  /** RDD mirror of `counts` via flatMap + reduceByKey. */
-  def countsRDD(spark: SparkSession, n: Int, sets: Seq[Array[Int]]): Array[Int] = {
-    val sc = spark.sparkContext
-    val c = new Array[Int](n)
-    sc.parallelize(sets)
-      .flatMap(set => set.iterator.map(v => (v, 1)))
-      .reduceByKey(_ + _)
-      .collect()
-      .foreach { case (v, cnt) => c(v) = cnt }
-    c
-  }
-
   /** Exploded (setId, node) relation — the SQL view of the set collection,
     * consumed by DuckDB-oracle tests.
     */
@@ -62,17 +49,31 @@ object Coverage {
   /** Exact lazy greedy maximum coverage (CELF-style): yields picks in order,
     * each with its marginal gain and the cumulative number of covered sets.
     * Stops at `maxPicks` or when no node adds coverage. Shared by TRIM-B's
-    * `Greedy(R)` (Algorithm 3, Line 8) and ATEUC's candidate construction.
+    * `Greedy(R)` (Algorithm 3, Line 8; TRIM's argmax at b = 1) and ATEUC's
+    * candidate construction.
     */
-  def greedySequence(n: Int, sets: IndexedSeq[Array[Int]],
+  def greedySequence(n: Int, sets: collection.IndexedSeq[Array[Int]],
                      maxPicks: Int): Seq[(Int, Int, Int)] = {
     val gains = counts(n, sets)
+    // The first pick is the argmax of the counts (ties → smallest id). The
+    // inverted index and the queue are built only for a second pick.
+    val (first, firstGain) = if (n > 0) topNode(gains) else (-1, 0)
+    if (maxPicks < 1 || firstGain == 0) Nil
+    else if (maxPicks == 1) List((first, firstGain, firstGain))
+    else (first, firstGain, firstGain) :: greedyRest(n, sets, gains, first, maxPicks)
+  }
+
+  /** Picks 2..maxPicks of `greedySequence`, given that `first` was picked
+    * with the initial `gains`.
+    */
+  private def greedyRest(n: Int, sets: collection.IndexedSeq[Array[Int]], gains: Array[Int],
+                         first: Int, maxPicks: Int): List[(Int, Int, Int)] = {
     // Inverted index node -> set ids, built once.
     val invOff = new Array[Int](n + 1)
     sets.foreach(_.foreach(v => invOff(v + 1) += 1))
     var v = 0
     while (v < n) { invOff(v + 1) += invOff(v); v += 1 }
-    val inv = new Array[Int](sets.iterator.map(_.length).sum)
+    val inv = new Array[Int](invOff(n))
     val cursor = java.util.Arrays.copyOf(invOff, n)
     var i = 0
     while (i < sets.length) {
@@ -81,42 +82,44 @@ object Coverage {
     }
 
     val covered = new Array[Boolean](sets.length)
-    val picked = new Array[Boolean](n)
+    var coveredCount = 0
+    def pick(u: Int): Unit = {
+      var j = invOff(u)
+      while (j < invOff(u + 1)) {
+        val s = inv(j)
+        if (!covered(s)) {
+          covered(s) = true
+          coveredCount += 1
+          sets(s).foreach(w => gains(w) -= 1)
+        }
+        j += 1
+      }
+    }
+    pick(first)
+
     // Order by gain desc, then node id asc — deterministic tie-breaking that
-    // matches a naive argmax greedy (tested for equivalence).
+    // matches a naive argmax greedy (tested for equivalence). Each node has
+    // at most one entry, and a picked node's gain is 0, so it never returns.
     val pq = new java.util.PriorityQueue[(Int, Int)](
       math.max(1, n), Ordering.by[(Int, Int), (Int, Int)](t => (-t._1, t._2)))
     (0 until n).foreach(u => if (gains(u) > 0) pq.add((gains(u), u)))
-    val out = Seq.newBuilder[(Int, Int, Int)]
-    var coveredCount = 0
-    var picks = 0
+    val out = List.newBuilder[(Int, Int, Int)]
+    var picks = 1
     while (picks < maxPicks && !pq.isEmpty) {
       val (gain, u) = pq.poll()
-      if (!picked(u)) {
-        if (gain != gains(u)) pq.add((gains(u), u)) // stale entry: re-queue
-        else if (gain == 0) { /* nothing left to cover */ picks = maxPicks }
-        else {
-          picked(u) = true
-          var j = invOff(u)
-          while (j < invOff(u + 1)) {
-            val s = inv(j)
-            if (!covered(s)) {
-              covered(s) = true
-              coveredCount += 1
-              sets(s).foreach(w => gains(w) -= 1)
-            }
-            j += 1
-          }
-          picks += 1
-          out += ((u, gain, coveredCount))
-        }
+      if (gain != gains(u)) pq.add((gains(u), u)) // stale entry: re-queue
+      else if (gain == 0) { /* nothing left to cover */ picks = maxPicks }
+      else {
+        pick(u)
+        picks += 1
+        out += ((u, gain, coveredCount))
       }
     }
     out.result()
   }
 
   /** Greedy maximum coverage of up to b nodes: (seeds, #sets covered). */
-  def greedyCover(n: Int, sets: IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) = {
+  def greedyCover(n: Int, sets: collection.IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) = {
     val seq = greedySequence(n, sets, b)
     (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
   }

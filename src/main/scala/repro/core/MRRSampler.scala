@@ -115,9 +115,10 @@ object MRRSampler {
   }
 }
 
-/** Per-round sampling context: fixes the residual mask, target and model so
-  * repeated doubling rounds share one broadcast. Tracks cumulative samples
-  * and work for the efficiency instrumentation.
+/** Per-round sampling context and sample pool: fixes the residual mask,
+  * target and model so repeated doubling rounds share one broadcast, and
+  * holds the sets drawn so far, set i being stream index i. Tracks
+  * cumulative work for the efficiency instrumentation.
   */
 final class MRRSamplerCtx(
     spark: SparkSession,
@@ -129,18 +130,25 @@ final class MRRSamplerCtx(
     val vanillaRoots: Boolean,
     val seedBase: Long
 ) {
-  var totalSamples: Long = 0L
+  private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
   var totalWork: Long = 0L
 
   def nI: Int = inactiveNodes.length
 
-  /** Generate `count` sets with stream indices [from, from+count). */
-  def generate(from: Long, count: Int): IndexedSeq[Array[Int]] = {
-    val sets =
-      if (count >= MRRSampler.SparkBatchThreshold) generateSpark(from, count)
-      else generateLocal(from, count)
-    totalSamples += count
-    sets
+  /** The sets drawn so far, in stream order. */
+  def sets: scala.collection.IndexedSeq[Array[Int]] = pool
+
+  /** Number of sets drawn so far. */
+  def totalSamples: Long = pool.length
+
+  /** Draw stream indices [totalSamples, size) into the pool; no-op if the
+    * pool already holds `size` sets.
+    */
+  def growTo(size: Long): Unit = {
+    require(size <= Int.MaxValue, s"sample pool of $size sets exceeds Int range")
+    val count = size.toInt - pool.length
+    if (count >= MRRSampler.SparkBatchThreshold) pool ++= generateSpark(pool.length, count)
+    else if (count > 0) pool ++= generateLocal(pool.length, count)
   }
 
   def generateLocal(from: Long, count: Int): IndexedSeq[Array[Int]] = {

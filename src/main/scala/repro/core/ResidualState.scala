@@ -3,8 +3,8 @@ package repro.core
 import repro.graph.CompactGraph
 
 /** Mutable adaptive-process state: which nodes are already activated, and the
-  * derived residual-graph quantities of §2.3 — `n_i` (inactive nodes), `η_i`
-  * (remaining shortfall), `m_i` (edges internal to the residual graph).
+  * derived residual-graph quantities of §2.3 — `n_i` (inactive nodes) and
+  * `η_i` (remaining shortfall).
   *
   * The residual graph G_i is never materialized: samplers and forward
   * propagation take the `inactive` mask and skip non-residual nodes/edges.
@@ -27,17 +27,6 @@ final class ResidualState(val graph: CompactGraph, val eta: Int) {
 
   /** Has the adaptive process reached the threshold? */
   def reached: Boolean = activatedCount >= eta
-
-  /** m_i: edges with both endpoints inactive (recomputed on demand). */
-  def mI: Int = {
-    var count = 0
-    var e = 0
-    while (e < graph.m) {
-      if (inactive(graph.srcs(e)) && inactive(graph.dsts(e))) count += 1
-      e += 1
-    }
-    count
-  }
 
   /** Residual node ids, ascending. */
   def inactiveNodes: Array[Int] = {

@@ -12,14 +12,15 @@ final case class SelectResult(
     iterations: Int
 )
 
-/** TRIM — TRuncated Influence Maximization (Algorithm 2).
+/** TRIM — TRuncated Influence Maximization (Algorithm 2): its bound math.
   *
   * OPIM-C-style single-group design: start from θ_o mRR-sets, pick the node
   * v* with maximum coverage, bound its expected coverage from below (Λˡ, via
   * the martingale bound of Lemma A.2) and the optimum's from above (Λᵘ), and
   * stop when Λˡ(v*)/Λᵘ(v°) ≥ 1−ε̂, doubling the sample pool otherwise. At
   * most T iterations; the T-th returns unconditionally (the θ_max budget of
-  * Line 2 then guarantees the bound by [40]).
+  * Line 2 then guarantees the bound by [40]). The loop itself is
+  * `TrimB.select` with b = 1, where ρ₁ = 1 and ln C(n_i, 1) = ln n_i.
   */
 object Trim {
 
@@ -37,7 +38,7 @@ object Trim {
 
   private val OneMinusInvE = 1.0 - 1.0 / math.E
 
-  /** Parameters of Lines 1–5 shared by TRIM and the AdaptIM skeleton.
+  /** Parameters of Lines 1–5 shared by TRIM, TRIM-B and the AdaptIM skeleton.
     * `target` is η_i for truncated estimation, n_i for vanilla RR estimation.
     */
   final case class Schedule(delta: Double, epsHat: Double, thetaMax: Double,
@@ -54,45 +55,5 @@ object Trim {
     val T = math.ceil(math.log(thetaMax / thetaO) / math.log(2.0)).toInt + 1
     val lnT = math.log(3.0 * T / delta)
     Schedule(delta, epsHat, thetaMax, thetaO, T, lnT + lnCandidates, lnT)
-  }
-
-  /** Select one seed node from the residual graph behind `ctx`.
-    *
-    * With a truncated-estimator context (randomized multi-roots) this is
-    * Algorithm 2 verbatim; with `vanillaRoots` and `target = n_i` it is the
-    * OPIM-C-style vanilla-spread selector used by the AdaptIM baseline.
-    */
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = {
-    val nI = ctx.nI
-    val target = if (ctx.vanillaRoots) nI else ctx.etaI
-    val sch = schedule(nI, target, eps, math.log(nI.toDouble))
-
-    val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-    var generated = 0L
-    def grow(upTo: Long): Unit = {
-      val need = (upTo - generated).toInt
-      if (need > 0) {
-        sets ++= ctx.generate(generated, need)
-        generated += need
-      }
-    }
-    grow(math.ceil(sch.thetaO).toLong)
-
-    var t = 1
-    while (true) {
-      // Count over the dense node-id space; active nodes never appear in a
-      // residual mRR-set, so their coverage stays 0.
-      val cov = Coverage.counts(ctx.inactive.length, sets)
-      val (vStar, c) = Coverage.topNode(cov, ctx.inactive)
-      val lamL = lamLower(c, sch.a1)
-      val lamU = lamUpper(c, sch.a2)
-      if ((lamU > 0 && lamL / lamU >= 1.0 - sch.epsHat) || t == sch.T) {
-        val est = target.toDouble * c / generated
-        return SelectResult(Array(vStar), est, ctx.totalSamples, ctx.totalWork, t)
-      }
-      t += 1
-      grow(math.min(generated * 2, math.ceil(sch.thetaMax).toLong))
-    }
-    throw new IllegalStateException("unreachable")
   }
 }

@@ -7,7 +7,7 @@ package repro.core
   * from Algorithm 2, mirrored here: θ_max/θ_o involve ρ_b and b (Lines 2–3),
   * a₁ uses ln C(n_i, b) candidates, the optimum's coverage upper bound
   * divides the greedy coverage by ρ_b (Line 10), and the stop ratio is
-  * ρ_b(1 − ε̂) (Line 11). With b = 1 this degenerates to TRIM.
+  * ρ_b(1 − ε̂) (Line 11). With b = 1 this is exactly TRIM (Algorithm 2).
   */
 object TrimB {
 
@@ -23,35 +23,32 @@ object TrimB {
     s
   }
 
-  /** Select a batch of (up to) `b` seeds from the residual graph behind `ctx`. */
+  /** Select a batch of (up to) `b` seeds from the residual graph behind
+    * `ctx`: the doubling loop of TRIM (b = 1), TRIM-B and AdaptIM. The
+    * estimation target is η_i over mRR-sets, or n_i over the vanilla
+    * single-root RR-sets of AdaptIM (`ctx.vanillaRoots`).
+    */
   def select(ctx: MRRSamplerCtx, eps: Double, b: Int): SelectResult = {
     val nI = ctx.nI
     val bEff = math.min(b, nI)
     val rhoB = rho(bEff)
-    val sch = Trim.schedule(nI, ctx.etaI, eps, lnChoose(nI, bEff), rhoB, bEff)
-
-    val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-    var generated = 0L
-    def grow(upTo: Long): Unit = {
-      val need = (upTo - generated).toInt
-      if (need > 0) {
-        sets ++= ctx.generate(generated, need)
-        generated += need
-      }
-    }
-    grow(math.ceil(sch.thetaO).toLong)
+    val target = if (ctx.vanillaRoots) nI else ctx.etaI
+    val sch = Trim.schedule(nI, target, eps, lnChoose(nI, bEff), rhoB, bEff)
+    ctx.growTo(math.ceil(sch.thetaO).toLong)
 
     var t = 1
     while (true) {
-      val (batch, covered) = Coverage.greedyCover(ctx.inactive.length, sets.toIndexedSeq, bEff)
+      // Count over the dense node-id space; active nodes never appear in a
+      // residual mRR-set, so their coverage stays 0.
+      val (batch, covered) = Coverage.greedyCover(ctx.inactive.length, ctx.sets, bEff)
       val lamL = Trim.lamLower(covered, sch.a1)
       val lamU = Trim.lamUpper(covered / rhoB, sch.a2)
       if ((lamU > 0 && lamL / lamU >= rhoB * (1.0 - sch.epsHat)) || t == sch.T) {
-        val est = ctx.etaI.toDouble * covered / generated
+        val est = target.toDouble * covered / ctx.totalSamples
         return SelectResult(batch, est, ctx.totalSamples, ctx.totalWork, t)
       }
       t += 1
-      grow(math.min(generated * 2, math.ceil(sch.thetaMax).toLong))
+      ctx.growTo(math.min(ctx.totalSamples * 2, math.ceil(sch.thetaMax).toLong))
     }
     throw new IllegalStateException("unreachable")
   }

@@ -1,44 +1,16 @@
 package repro.diffusion
 
 import org.apache.spark.graphx.{Edge, EdgeDirection, Graph => XGraph, VertexId}
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.graph.CompactGraph
 
-/** Distributed reachability over a materialized live-edge graph, in two
-  * flavors: DataFrame-iterative semi-naive BFS and GraphX Pregel. Both must
-  * agree with the driver BFS in `Realization.forwardReachable` — the tests
-  * enforce this triangle, which is the correctness anchor for the (much
+/** Distributed reachability over the live edges of a realization via GraphX
+  * Pregel. It must agree with the driver BFS in
+  * `Realization.forwardReachable`, which the tests also check against a
+  * DuckDB recursive-CTE closure — the correctness anchor for the (much
   * faster) driver propagation used inside the adaptive loop.
   */
 object DistributedBfs {
-
-  /** Nodes reachable from `seeds` via `edges` (src, dst), seeds included.
-    * Semi-naive iteration: join the frontier with the edge relation until no
-    * new nodes appear. Returns a single-column DataFrame `node`.
-    */
-  def reachableDF(spark: SparkSession, edges: DataFrame, seeds: Seq[Int]): DataFrame = {
-    import spark.implicits._
-    val e = edges.selectExpr("cast(src as int) src", "cast(dst as int) dst").cache()
-    // The frontier is re-materialized from collected values each round, which
-    // both drives the fixpoint loop and severs lineage (avoiding Spark's
-    // ambiguous-self-join detection on frontier ⋈ edges).
-    var visited = seeds.distinct.toSet
-    var frontier = visited
-    while (frontier.nonEmpty) {
-      val next = frontier.toSeq.toDF("fnode")
-        .join(e, $"fnode" === e("src"))
-        .select(e("dst"))
-        .distinct()
-        .collect()
-        .map(_.getInt(0))
-        .toSet -- visited
-      visited ++= next
-      frontier = next
-    }
-    e.unpersist()
-    visited.toSeq.toDF("node")
-  }
 
   /** Reachable-from-seeds via GraphX Pregel over the live edges of a
     * realization (message = "you are reached").
@@ -57,13 +29,5 @@ object DistributedBfs {
       (a: Boolean, b: Boolean) => a || b
     )
     result.vertices.filter(_._2).map(_._1.toInt).collect().toSet
-  }
-
-  /** Multi-source *reverse* reachability on live edges via the DataFrame BFS —
-    * the relational mirror of one mRR-set, used to oracle-check the sampler.
-    */
-  def reverseReachableDF(spark: SparkSession, edges: DataFrame, roots: Seq[Int]): DataFrame = {
-    val flipped = edges.select(col("dst") as "src", col("src") as "dst")
-    reachableDF(spark, flipped, roots)
   }
 }

@@ -149,16 +149,4 @@ object Spread {
       .sum()
     total / trials
   }
-
-  /** RDD-distributed Monte-Carlo E[Γ(S)] = E[min(I(S), η)]. */
-  def mcTruncated(spark: SparkSession, g: CompactGraph, seeds: Array[Int], eta: Int,
-                  model: DiffusionModel, trials: Int, seed0: Long): Double = {
-    val sc = spark.sparkContext
-    val bg = sc.broadcast(g)
-    val total = sc
-      .range(0, trials)
-      .map(t => math.min(new Realization(bg.value, model, seed0 + t).spread(seeds), eta).toLong)
-      .sum()
-    total / trials
-  }
 }

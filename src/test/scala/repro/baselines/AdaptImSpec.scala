@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core.{AdaptImSelector, Asti, MRRSamplerCtx, ResidualState, Trim, TrimSelector}
+import repro.core.{AdaptImSelector, Asti, MRRSamplerCtx, ResidualState, TrimSelector}
 import repro.diffusion.DiffusionModel
 import repro.graph.GraphGen
 
@@ -59,8 +59,8 @@ class AdaptImSpec extends AnyFunSuite with SparkSpec {
       new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), st.inactive,
                         st.inactiveNodes, st.etaI, IC, vanilla, 11L)
     }
-    val trunc = Trim.select(ctx(vanilla = false), 0.5)
-    val vanilla = Trim.select(ctx(vanilla = true), 0.5)
+    val trunc = TrimSelector.select(ctx(vanilla = false), 0.5)
+    val vanilla = AdaptImSelector.select(ctx(vanilla = true), 0.5)
     assert(vanilla.samples > 3 * trunc.samples,
            s"vanilla=${vanilla.samples} trunc=${trunc.samples}")
   }

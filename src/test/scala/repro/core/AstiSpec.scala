@@ -137,6 +137,14 @@ class AstiSpec extends AnyFunSuite with SparkSpec {
     assert(replay == res.finalSpread, s"replay=$replay observed=${res.finalSpread}")
   }
 
+  test("run rejects ε outside (0, 1)") {
+    val g = GraphGen.line(5, 1.0)
+    for (eps <- Seq(0.0, 1.0, -0.5, 1.5, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](Asti.run(spark, g, 3, eps, TrimSelector, IC, 1L))
+      assert(e.getMessage.contains(s"ε=$eps"), e.getMessage)
+    }
+  }
+
   test("wall time and work counters are populated") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
     val res = Asti.run(spark, g, 20, 0.5, TrimSelector, IC, 15L)

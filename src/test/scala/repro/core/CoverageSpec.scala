@@ -33,24 +33,19 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
       Coverage.topNode(Array(1, 2), Array(false, false)))
   }
 
-  test("countsRDD matches driver counts") {
-    assert(Coverage.countsRDD(spark, 5, sets).toSeq == Coverage.counts(5, sets).toSeq)
-  }
-
-  test("countsRDD on a larger random instance matches") {
+  test("coverage counting agrees with the DuckDB oracle over the exploded relation") {
+    import spark.implicits._
     val rnd = new scala.util.Random(1)
     val big = IndexedSeq.fill(500)(Array.fill(rnd.nextInt(10) + 1)(rnd.nextInt(50)).distinct)
-    assert(Coverage.countsRDD(spark, 50, big).toSeq == Coverage.counts(50, big).toSeq)
-  }
-
-  test("coverage counting agrees with the DuckDB oracle over the exploded relation") {
-    val df = Coverage.setsDF(spark, sets)
-    val sparkCounts = df.groupBy("node").count()
-      .selectExpr("cast(node as int) as node", "cast(count as long) as cnt")
-    Oracle.assertEquivalent(
-      sparkCounts,
-      "SELECT CAST(node AS INT) AS node, count(*) AS cnt FROM sets GROUP BY 1",
-      "sets" -> df)
+    for ((n, ss) <- Seq(5 -> sets, 50 -> big)) {
+      val driver = Coverage.counts(n, ss).toSeq.zipWithIndex
+        .collect { case (c, v) if c > 0 => (v, c.toLong) }
+        .toDF("node", "cnt")
+      Oracle.assertEquivalent(
+        driver,
+        "SELECT CAST(node AS INT) AS node, count(*) AS cnt FROM sets GROUP BY 1",
+        "sets" -> Coverage.setsDF(spark, ss))
+    }
   }
 
   test("coveredBy counts sets intersecting the seed set") {
@@ -86,10 +81,13 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     val rnd = new scala.util.Random(7)
     (0 until 5).foreach { trial =>
       val ss = IndexedSeq.fill(40)(Array.fill(rnd.nextInt(5) + 1)(rnd.nextInt(12)).distinct)
-      val fast = Coverage.greedySequence(12, ss, 12)
-      val slow = naiveGreedy(12, ss, 12)
-      // Identical tie-breaking (gain desc, node id asc) → exact sequence match.
-      assert(fast == slow, s"trial $trial: $fast vs $slow")
+      // maxPicks = 1 takes the index-free argmax path.
+      for (picks <- Seq(12, 1)) {
+        val fast = Coverage.greedySequence(12, ss, picks)
+        val slow = naiveGreedy(12, ss, picks)
+        // Identical tie-breaking (gain desc, node id asc) → exact sequence match.
+        assert(fast == slow, s"trial $trial, maxPicks $picks: $fast vs $slow")
+      }
     }
   }
 

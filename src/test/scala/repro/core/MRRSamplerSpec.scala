@@ -123,11 +123,15 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   test("ctx accounting: totalSamples and totalWork accumulate") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
     val ctx = freshCtx(g, 20, IC)
-    ctx.generate(0, 10)
+    ctx.growTo(10)
     val s1 = ctx.totalSamples
-    ctx.generate(10, 5)
-    assert(s1 == 10 && ctx.totalSamples == 15)
+    ctx.growTo(15)
+    ctx.growTo(12) // never shrinks
+    assert(s1 == 10 && ctx.totalSamples == 15 && ctx.sets.length == 15)
     assert(ctx.totalWork > 0)
+    // The pool holds stream indices 0..14 in order.
+    val direct = freshCtx(g, 20, IC).generateLocal(0, 15)
+    ctx.sets.zip(direct).foreach { case (a, b) => assert(a.toSeq == b.toSeq) }
   }
 
   test("empirical coverage matches exact E[Γ̃(v)] on fig2 (IC)") {

@@ -35,15 +35,6 @@ class ResidualStateSpec extends AnyFunSuite {
     assert(s.reached)
   }
 
-  test("m_i counts only residual-internal edges") {
-    val s = new ResidualState(GraphGen.line(4, 1.0), 2) // edges 0-1,1-2,2-3
-    assert(s.mI == 3)
-    s.activate(Array(1))
-    assert(s.mI == 1) // only 2->3 remains internal
-    s.activate(Array(3))
-    assert(s.mI == 0)
-  }
-
   test("η validation") {
     intercept[IllegalArgumentException](new ResidualState(GraphGen.line(3, 1.0), 0))
     intercept[IllegalArgumentException](new ResidualState(GraphGen.line(3, 1.0), 4))

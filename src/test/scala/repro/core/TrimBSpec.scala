@@ -50,15 +50,6 @@ class TrimBSpec extends AnyFunSuite with SparkSpec {
     assert(res.seeds.distinct.length == res.seeds.length)
   }
 
-  test("select with b=1 picks the same node as TRIM") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
-    val viaTrim = Trim.select(ctxFor(g, 20, seed = 3L), 0.5)
-    val viaTrimB = TrimB.select(ctxFor(g, 20, seed = 3L), 0.5, b = 1)
-    // Same sampler stream and argmax-vs-greedy(1) coincide; schedules differ
-    // only in constants, so compare the chosen node, not sample counts.
-    assert(viaTrim.seeds.head == viaTrimB.seeds.head)
-  }
-
   test("select covers both deterministic cliques with b=2") {
     val g = GraphGen.twoCliques(6, 1.0)
     val res = TrimB.select(ctxFor(g, 12), 0.5, b = 2)
@@ -70,6 +61,11 @@ class TrimBSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.star(30, 1.0)
     val res = TrimB.select(ctxFor(g, 10), 0.5, b = 3)
     assert(res.seeds.contains(0))
+  }
+
+  test("TrimBSelector rejects a batch size below 1") {
+    val e = intercept[IllegalArgumentException](TrimBSelector(0))
+    assert(e.getMessage.contains("b=0"), e.getMessage)
   }
 
   test("batch size larger than the residual is clamped") {

@@ -58,7 +58,7 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
   test("select on a deterministic star picks the center") {
     val g = GraphGen.star(30, 1.0)
     val (ctx, _) = ctxFor(g, 10, IC)
-    val res = Trim.select(ctx, eps = 0.5)
+    val res = TrimSelector.select(ctx, eps = 0.5)
     assert(res.seeds.toSeq == Seq(0))
     assert(res.samples > 0 && res.iterations >= 1)
   }
@@ -66,13 +66,13 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
   test("select on a deterministic chain picks the source") {
     val g = GraphGen.line(20, 1.0)
     val (ctx, _) = ctxFor(g, 15, IC)
-    assert(Trim.select(ctx, 0.5).seeds.toSeq == Seq(0))
+    assert(TrimSelector.select(ctx, 0.5).seeds.toSeq == Seq(0))
   }
 
   test("select estTruncated lies in the Theorem 3.3 bias band") {
     val g = GraphGen.twoCliques(5, 1.0) // any node activates its 5-clique
     val (ctx, _) = ctxFor(g, 5, IC)
-    val res = Trim.select(ctx, 0.3)
+    val res = TrimSelector.select(ctx, 0.3)
     // Γ(v) = min(5, 5) = 5 for every node; the binary mRR estimator may
     // undershoot by at most a (1 − 1/e) factor (here E[Γ̃] = 5·7/9 ≈ 3.89).
     assert(res.estTruncated <= 5.0 + 0.5, s"est=${res.estTruncated}")
@@ -81,15 +81,15 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
 
   test("select is deterministic for fixed seeds") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
-    val a = Trim.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
-    val b = Trim.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
+    val a = TrimSelector.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
+    val b = TrimSelector.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
     assert(a.seeds.toSeq == b.seeds.toSeq && a.samples == b.samples)
   }
 
   test("select works under the LT model") {
     val g = GraphGen.star(30, 1.0)
     val (ctx, _) = ctxFor(g, 10, LT)
-    assert(Trim.select(ctx, 0.5).seeds.toSeq == Seq(0))
+    assert(TrimSelector.select(ctx, 0.5).seeds.toSeq == Seq(0))
   }
 
   test("select on residual graph avoids activated hubs") {
@@ -98,28 +98,28 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.twoCliques(6, 1.0)
     val (ctx, state) = ctxFor(g, 12, IC, preActivate = Array(0, 1, 2, 3, 4, 5))
     assert(state.etaI == 6)
-    val res = Trim.select(ctx, 0.5)
+    val res = TrimSelector.select(ctx, 0.5)
     assert(res.seeds.head >= 6, s"picked ${res.seeds.head} from the activated block")
   }
 
   test("select returns an inactive node even with sparse coverage") {
     val g = CompactGraph.fromEdges(10, Seq.empty) // no edges at all
     val (ctx, _) = ctxFor(g, 4, IC, preActivate = Array(0, 1))
-    val res = Trim.select(ctx, 0.5)
+    val res = TrimSelector.select(ctx, 0.5)
     assert(res.seeds.head >= 2)
   }
 
   test("vanilla mode (AdaptIM skeleton) still finds the dominant node") {
     val g = GraphGen.star(30, 1.0)
     val (ctx, _) = ctxFor(g, 10, IC, vanilla = true)
-    assert(Trim.select(ctx, 0.5).seeds.toSeq == Seq(0))
+    assert(AdaptImSelector.select(ctx, 0.5).seeds.toSeq == Seq(0))
   }
 
   test("vanilla mode needs more samples than truncated mode when η ≪ n") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.1)
     val eta = math.max(2, g.n / 20)
-    val trunc = Trim.select(ctxFor(g, eta, IC, seed = 9L)._1, 0.5)
-    val vanilla = Trim.select(ctxFor(g, eta, IC, vanilla = true, seed = 9L)._1, 0.5)
+    val trunc = TrimSelector.select(ctxFor(g, eta, IC, seed = 9L)._1, 0.5)
+    val vanilla = AdaptImSelector.select(ctxFor(g, eta, IC, vanilla = true, seed = 9L)._1, 0.5)
     // The paper's efficiency argument (§6.2): sample counts scale with
     // η_i/OPT_i vs n_i/OPT′_i. Allow slack but expect a clear gap.
     assert(vanilla.samples > trunc.samples,

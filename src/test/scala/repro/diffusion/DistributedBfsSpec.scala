@@ -2,7 +2,7 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
-import repro.graph.GraphGen
+import repro.graph.{CompactGraph, GraphGen}
 
 class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
 
@@ -11,30 +11,6 @@ class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
   private def driverSet(real: Realization, seeds: Seq[Int]): Set[Int] =
     real.forwardReachable(seeds.toArray, null).toSet
 
-  test("DataFrame BFS matches driver BFS on a deterministic line") {
-    val g = GraphGen.line(8, 1.0)
-    val real = new Realization(g, IC, 1L)
-    val df = DistributedBfs.reachableDF(spark, real.liveEdgesDF(spark), Seq(2))
-    assert(df.collect().map(_.getInt(0)).toSet == driverSet(real, Seq(2)))
-  }
-
-  test("DataFrame BFS matches driver BFS on random realizations") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.02)
-    (0 until 3).foreach { s =>
-      val real = new Realization(g, IC, 100L + s)
-      val df = DistributedBfs.reachableDF(spark, real.liveEdgesDF(spark), Seq(0, 5))
-      assert(df.collect().map(_.getInt(0)).toSet == driverSet(real, Seq(0, 5)), s"seed $s")
-    }
-  }
-
-  test("DataFrame BFS with no live edges returns just the seeds") {
-    val g = GraphGen.line(5, 1.0)
-    import spark.implicits._
-    val empty = Seq.empty[(Int, Int)].toDF("src", "dst")
-    val out = DistributedBfs.reachableDF(spark, empty, Seq(1, 3)).collect().map(_.getInt(0)).toSet
-    assert(out == Set(1, 3))
-  }
-
   test("GraphX Pregel reachability matches driver BFS") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.02)
     val real = new Realization(g, IC, 55L)
@@ -42,22 +18,13 @@ class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
     assert(viaPregel == driverSet(real, Seq(1, 7)))
   }
 
-  test("reverse reachability is forward reachability on the transpose") {
-    val g = GraphGen.line(6, 1.0)
-    val real = new Realization(g, IC, 2L)
-    val rev = DistributedBfs.reverseReachableDF(spark, real.liveEdgesDF(spark), Seq(4))
-      .collect().map(_.getInt(0)).toSet
-    assert(rev == Set(0, 1, 2, 3, 4))
-  }
-
-  test("DataFrame BFS agrees with a DuckDB recursive-CTE transitive closure") {
+  test("driver BFS matches a DuckDB recursive CTE") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.02)
     val real = new Realization(g, IC, 77L)
-    val live = real.liveEdgesDF(spark)
-    val sparkOut = DistributedBfs.reachableDF(spark, live, Seq(0, 3))
-      .selectExpr("cast(node as int) as node")
+    import spark.implicits._
+    val driverOut = driverSet(real, Seq(0, 3)).toSeq.toDF("node")
     Oracle.assertEquivalent(
-      sparkOut,
+      driverOut,
       """WITH RECURSIVE reach(node) AS (
         |  SELECT * FROM (VALUES (0), (3)) t(node)
         |  UNION
@@ -65,13 +32,11 @@ class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
         |)
         |SELECT node FROM reach
         |""".stripMargin,
-      "edges" -> live)
+      "edges" -> real.liveEdgesDF(spark))
   }
 
   test("cycle handling: BFS terminates and covers the cycle") {
-    import spark.implicits._
-    val edges = Seq((0, 1), (1, 2), (2, 0)).toDF("src", "dst")
-    val out = DistributedBfs.reachableDF(spark, edges, Seq(0)).collect().map(_.getInt(0)).toSet
-    assert(out == Set(0, 1, 2))
+    val g = CompactGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
+    assert(driverSet(new Realization(g, IC, 1L), Seq(0)) == Set(0, 1, 2))
   }
 }

@@ -72,6 +72,9 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
     val r = new Realization(g, DiffusionModel.IC, 9L)
     assert(r.forwardReachable(Array(0), null).sorted.toSeq == (0 until 6))
     assert(r.forwardReachable(Array(3), null).sorted.toSeq == Seq(3, 4, 5))
+    // With no live edges, only the seeds are reached.
+    val none = new Realization(CompactGraph.fromEdges(5, Seq.empty), DiffusionModel.IC, 9L)
+    assert(none.forwardReachable(Array(1, 3), null).sorted.toSeq == Seq(1, 3))
   }
 
   test("forwardReachable respects the eligibility mask") {

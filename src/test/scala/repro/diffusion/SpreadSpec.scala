@@ -131,11 +131,6 @@ class SpreadSpec extends AnyFunSuite with SparkSpec {
     assert(math.abs(est - 2.75) < 0.05, s"est=$est")
   }
 
-  test("mcTruncated (RDD) converges to the exact truncated expectation") {
-    val est = Spread.mcTruncated(spark, fig2, Array(0), 2, IC, 20000, 3L)
-    assert(math.abs(est - 1.75) < 0.05, s"est=$est")
-  }
-
   test("mcSpread agrees with mcSpreadLocal given identical seeds") {
     val g = GraphGen.star(10, 0.4)
     val local = Spread.mcSpreadLocal(g, Array(0), IC, 500, 7L)
