@@ -45,13 +45,19 @@ object Ateuc {
 
   def select(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int,
              model: DiffusionModel, seed: Long): AteucResult = {
-    val g = bg.value
-    val n = g.n
     // All-inactive residual state: ATEUC samples the full graph, once.
-    val state = new ResidualState(g, eta)
-    val ctx = new MRRSamplerCtx(
+    val state = new ResidualState(bg.value, eta)
+    select(new MRRSamplerCtx(
       spark, bg, state.inactive, state.inactiveNodes, eta, model,
-      vanillaRoots = true, seedBase = seed)
+      vanillaRoots = true, seedBase = seed))
+  }
+
+  /** ATEUC over the pool of `ctx`, a full-graph context of vanilla RR-sets
+    * whose target η is `ctx.etaI`.
+    */
+  def select(ctx: MRRSamplerCtx): AteucResult = {
+    val n = ctx.inactive.length
+    val eta = ctx.etaI
     // Confidence level across all prefixes and iterations (union bound).
     val a = math.log(n.toDouble) + math.log(MaxIterations / 0.01)
 
@@ -60,7 +66,7 @@ object Ateuc {
     var fallback: Array[Int] = Array.empty
     while (iter <= MaxIterations) {
       ctx.growTo(theta)
-      val seq = Coverage.greedySequence(n, ctx.sets, n)
+      val seq = Coverage.greedySequence(ctx.counts, ctx.sets, n)
       var sL = -1
       var sU: Array[Int] = null
       var plain: Array[Int] = null

@@ -4,16 +4,24 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Coverage bookkeeping over a collection of (m)RR-sets: Λ_R(v) is the number
   * of sets containing v (§3.4). Counting runs on the driver, over the sample
-  * pool; the exploded DataFrame view lets the DuckDB oracle check it.
+  * pool, which counts each set once as it is drawn (`MRRSamplerCtx.counts`);
+  * the exploded DataFrame view lets the DuckDB oracle check it.
   */
 object Coverage {
 
   /** Λ_R(v) for all v as a dense array. */
   def counts(n: Int, sets: Iterable[Array[Int]]): Array[Int] = {
     val c = new Array[Int](n)
-    sets.foreach(set => set.foreach(v => c(v) += 1))
+    addCounts(c, sets)
     c
   }
+
+  /** Add the membership of `sets` to the counts `c`. */
+  def addCounts(c: Array[Int], sets: Iterable[Array[Int]]): Unit =
+    sets.foreach { set =>
+      var i = 0
+      while (i < set.length) { c(set(i)) += 1; i += 1 }
+    }
 
   /** Eligible node with maximum coverage (ties → smallest id) and its count.
     * Pass null to consider every node.
@@ -53,18 +61,26 @@ object Coverage {
     * candidate construction.
     */
   def greedySequence(n: Int, sets: collection.IndexedSeq[Array[Int]],
+                     maxPicks: Int): Seq[(Int, Int, Int)] =
+    greedySequence(counts(n, sets), sets, maxPicks)
+
+  /** `greedySequence` from the counts of `sets` over node ids
+    * `0 until counts.length`, already counted. `counts` is left unchanged:
+    * picks after the first work on a copy.
+    */
+  def greedySequence(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]],
                      maxPicks: Int): Seq[(Int, Int, Int)] = {
-    val gains = counts(n, sets)
+    val n = counts.length
     // The first pick is the argmax of the counts (ties → smallest id). The
     // inverted index and the queue are built only for a second pick.
-    val (first, firstGain) = if (n > 0) topNode(gains) else (-1, 0)
+    val (first, firstGain) = if (n > 0) topNode(counts) else (-1, 0)
     if (maxPicks < 1 || firstGain == 0) Nil
     else if (maxPicks == 1) List((first, firstGain, firstGain))
-    else (first, firstGain, firstGain) :: greedyRest(n, sets, gains, first, maxPicks)
+    else (first, firstGain, firstGain) :: greedyRest(n, sets, counts.clone(), first, maxPicks)
   }
 
   /** Picks 2..maxPicks of `greedySequence`, given that `first` was picked
-    * with the initial `gains`.
+    * with the initial `gains`, which this decrements.
     */
   private def greedyRest(n: Int, sets: collection.IndexedSeq[Array[Int]], gains: Array[Int],
                          first: Int, maxPicks: Int): List[(Int, Int, Int)] = {
@@ -119,8 +135,15 @@ object Coverage {
   }
 
   /** Greedy maximum coverage of up to b nodes: (seeds, #sets covered). */
-  def greedyCover(n: Int, sets: collection.IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) = {
-    val seq = greedySequence(n, sets, b)
+  def greedyCover(n: Int, sets: collection.IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) =
+    greedyCover(counts(n, sets), sets, b)
+
+  /** `greedyCover` from the counts of `sets`, already counted; `counts` is
+    * left unchanged.
+    */
+  def greedyCover(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]],
+                  b: Int): (Array[Int], Int) = {
+    val seq = greedySequence(counts, sets, b)
     (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
   }
 }

@@ -6,6 +6,8 @@ import repro.diffusion.DiffusionModel
 import repro.graph.CompactGraph
 import repro.util.Rng
 
+import scala.collection.immutable.ArraySeq
+
 /** Multi-root reverse reachable (mRR) set sampling (§3.3).
   *
   * A random mRR-set is generated by (1) drawing a root set K of randomized
@@ -15,14 +17,18 @@ import repro.util.Rng
   * degenerates to single-root RR-sets (k = 1), which is what the ATEUC and
   * AdaptIM baselines consume.
   *
-  * Each set is a pure function of `(seedBase, sampleIndex)`, so the driver
-  * path (cheap for the small batches inside the adaptive inner loop) and the
-  * RDD fan-out path (large batches) produce byte-identical results — tested.
+  * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
+  * filled on the driver, with the index range split over the cores
+  * (`MRRSamplerCtx.generateLocal`); the RDD fan-out (`generateSpark`) runs the
+  * same kernel and is kept as the reference the two are tested
+  * byte-identical against.
   */
 object MRRSampler {
 
-  /** Threshold above which generation fans out over the cluster. */
-  val SparkBatchThreshold = 4096
+  /** Fewest sets one driver worker draws: a smaller doubling stays on the
+    * calling thread, where task hand-off would cost more than it saves.
+    */
+  val MinChunk = 256
 
   /** Randomized root size (Theorem 3.3's rounding): ⌊n/η⌋ or ⌈n/η⌉. */
   def rootSize(nI: Int, etaI: Int, u: Double): Int = {
@@ -32,93 +38,185 @@ object MRRSampler {
     math.min(math.max(1, k), nI)
   }
 
+  /** One worker's reusable buffers for `sampleInto`, so that drawing a set
+    * allocates only its output array. Not thread-safe: one per worker.
+    */
+  private[core] final class Scratch(n: Int) {
+    /** `mark(v) == epoch` iff v is in the current set; an epoch bump clears
+      * every mark, and the array is zeroed only when the epoch wraps.
+      */
+    private val mark = new Array[Int](n)
+    var epoch = 0
+    /** The current set in visit order. BFS visits in append order, so this
+      * is also the BFS queue.
+      */
+    private var buf = new Array[Int](64)
+    var size = 0
+    /** A copy of `permOf` that the Fisher–Yates root draw permutes in place
+      * and restores, with the swap targets in `swaps`.
+      */
+    private var perm: Array[Int] = null
+    private var permOf: Array[Int] = null
+    private var swaps: Array[Int] = null
+
+    def begin(): Unit = {
+      if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
+      epoch += 1
+      size = 0
+    }
+
+    @inline def contains(v: Int): Boolean = mark(v) == epoch
+
+    @inline def add(v: Int): Unit = {
+      mark(v) = epoch
+      if (size == buf.length) buf = java.util.Arrays.copyOf(buf, size * 2)
+      buf(size) = v
+      size += 1
+    }
+
+    @inline def apply(i: Int): Int = buf(i)
+
+    /** k distinct roots by a partial Fisher–Yates shuffle of `nodes`: the
+      * same draws and picks as shuffling a fresh copy, without the copy.
+      */
+    def permutedRoots(nodes: Array[Int], k: Int, rng: Rng.Stream): Unit = {
+      if (permOf ne nodes) {
+        perm = nodes.clone(); permOf = nodes; swaps = new Array[Int](nodes.length)
+      }
+      val nI = nodes.length
+      var i = 0
+      while (i < k) {
+        val j = i + rng.nextInt(nI - i)
+        swaps(i) = j
+        val tmp = perm(i); perm(i) = perm(j); perm(j) = tmp
+        add(perm(i))
+        i += 1
+      }
+      while (i > 0) {
+        i -= 1
+        val j = swaps(i)
+        val tmp = perm(i); perm(i) = perm(j); perm(j) = tmp
+      }
+    }
+
+    /** The current set, copied out. */
+    def result(): Array[Int] = java.util.Arrays.copyOf(buf, size)
+  }
+
   /** One mRR-set: node array (unsorted) plus the number of edges examined
-    * (the work measure of Lemma 3.8).
+    * (the work measure of Lemma 3.8). A one-shot wrapper around `sampleInto`
+    * that allocates its own n-sized `Scratch`.
     */
   def sampleOne(g: CompactGraph, inactive: Array[Boolean], inactiveNodes: Array[Int],
                 etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
                 seedBase: Long, idx: Long): (Array[Int], Int) = {
+    val s = new Scratch(g.n)
+    val work = sampleInto(s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, idx)
+    (s.result(), work)
+  }
+
+  /** Draw set `idx` into `s` (read it with `s.result()`) and return the
+    * number of edges examined.
+    */
+  private[core] def sampleInto(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+                               inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel,
+                               vanillaRoots: Boolean, seedBase: Long, idx: Long): Int = {
     val rng = new Rng.Stream(seedBase, idx)
     val nI = inactiveNodes.length
     val k = if (vanillaRoots) 1 else rootSize(nI, etaI, rng.nextDouble())
-
-    val visited = new java.util.HashSet[Integer]()
-    val queue = new java.util.ArrayDeque[Integer]()
-    val out = Array.newBuilder[Int]
+    s.begin()
 
     // Roots: k distinct uniform draws from the residual nodes. Rejection is
     // fine for small k; for k close to n_i a partial Fisher-Yates avoids
     // quadratic rejection.
     if (k.toLong * 4 < nI) {
-      var picked = 0
-      while (picked < k) {
+      while (s.size < k) {
         val v = inactiveNodes(rng.nextInt(nI))
-        if (visited.add(v)) { queue.add(v); out += v; picked += 1 }
+        if (!s.contains(v)) s.add(v)
       }
-    } else {
-      val pool = java.util.Arrays.copyOf(inactiveNodes, nI)
-      var i = 0
-      while (i < k) {
-        val j = i + rng.nextInt(nI - i)
-        val tmp = pool(i); pool(i) = pool(j); pool(j) = tmp
-        visited.add(pool(i)); queue.add(pool(i)); out += pool(i)
+    } else s.permutedRoots(inactiveNodes, k, rng)
+
+    if (model == DiffusionModel.IC) reverseIC(s, g, inactive, rng)
+    else reverseLT(s, g, inactive, rng)
+  }
+
+  /** IC reverse BFS: each in-edge from an inactive source is live
+    * independently.
+    */
+  private def reverseIC(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+                        rng: Rng.Stream): Int = {
+    val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
+    var work = 0
+    var head = 0
+    while (head < s.size) {
+      val v = s(head)
+      head += 1
+      var i = inOff(v)
+      val end = inOff(v + 1)
+      while (i < end) {
+        val e = inEdge(i)
+        val u = srcs(e)
+        if (inactive(u)) {
+          work += 1
+          if (!s.contains(u) && rng.nextDouble() < probs(e)) s.add(u)
+        }
         i += 1
       }
     }
+    work
+  }
 
+  /** LT reverse BFS: v picks at most one live in-edge. Conditioned on v being
+    * inactive, edges from active sources are excluded and the draw
+    * renormalizes over {inactive in-edges} ∪ {none}: denominator
+    * 1 − Σ_{active u} p(u,v) = Σ_{inactive u} p(u,v) + (1 − Σ_all p).
+    */
+  private def reverseLT(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+                        rng: Rng.Stream): Int = {
+    val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
     var work = 0
-    while (!queue.isEmpty) {
-      val v = queue.poll().intValue()
-      model match {
-        case DiffusionModel.IC =>
-          // Each in-edge from an inactive source is live independently.
-          g.foreachInEdge(v) { e =>
-            val u = g.srcs(e)
-            if (inactive(u)) {
-              work += 1
-              if (!visited.contains(u) && rng.nextDouble() < g.probs(e)) {
-                visited.add(u); queue.add(u); out += u
-              }
-            }
+    var head = 0
+    while (head < s.size) {
+      val v = s(head)
+      head += 1
+      val end = inOff(v + 1)
+      var sumAll = 0.0
+      var sumInactive = 0.0
+      var i = inOff(v)
+      while (i < end) {
+        val e = inEdge(i)
+        work += 1
+        sumAll += probs(e)
+        if (inactive(srcs(e))) sumInactive += probs(e)
+        i += 1
+      }
+      val noneProb = math.max(0.0, 1.0 - sumAll)
+      val denom = sumInactive + noneProb
+      if (denom > 0 && sumInactive > 0) {
+        val draw = rng.nextDouble() * denom
+        var acc = 0.0
+        var chosen = -1
+        i = inOff(v)
+        while (chosen < 0 && i < end) {
+          val e = inEdge(i)
+          if (inactive(srcs(e))) {
+            acc += probs(e)
+            if (draw < acc) chosen = srcs(e)
           }
-        case DiffusionModel.LT =>
-          // v picks at most one live in-edge. Conditioned on v being inactive,
-          // edges from active sources are excluded and the draw renormalizes
-          // over {inactive in-edges} ∪ {none}: denominator
-          // 1 − Σ_{active u} p(u,v) = Σ_{inactive u} p(u,v) + (1 − Σ_all p).
-          var sumAll = 0.0
-          var sumInactive = 0.0
-          g.foreachInEdge(v) { e =>
-            work += 1
-            sumAll += g.probs(e)
-            if (inactive(g.srcs(e))) sumInactive += g.probs(e)
-          }
-          val noneProb = math.max(0.0, 1.0 - sumAll)
-          val denom = sumInactive + noneProb
-          if (denom > 0 && sumInactive > 0) {
-            val draw = rng.nextDouble() * denom
-            var acc = 0.0
-            var chosen = -1
-            g.foreachInEdge(v) { e =>
-              if (chosen < 0 && inactive(g.srcs(e))) {
-                acc += g.probs(e)
-                if (draw < acc) chosen = g.srcs(e)
-              }
-            }
-            if (chosen >= 0 && !visited.contains(chosen)) {
-              visited.add(chosen); queue.add(chosen); out += chosen
-            }
-          }
+          i += 1
+        }
+        if (chosen >= 0 && !s.contains(chosen)) s.add(chosen)
       }
     }
-    (out.result(), work)
+    work
   }
 }
 
 /** Per-round sampling context and sample pool: fixes the residual mask,
   * target and model so repeated doubling rounds share one broadcast, and
-  * holds the sets drawn so far, set i being stream index i. Tracks
-  * cumulative work for the efficiency instrumentation.
+  * holds the sets drawn so far, set i being stream index i, with their
+  * coverage counts Λ(v). Tracks cumulative work for the efficiency
+  * instrumentation.
   */
 final class MRRSamplerCtx(
     spark: SparkSession,
@@ -131,6 +229,7 @@ final class MRRSamplerCtx(
     val seedBase: Long
 ) {
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+  private val coverage = new Array[Int](inactive.length)
   var totalWork: Long = 0L
 
   def nI: Int = inactiveNodes.length
@@ -138,31 +237,59 @@ final class MRRSamplerCtx(
   /** The sets drawn so far, in stream order. */
   def sets: scala.collection.IndexedSeq[Array[Int]] = pool
 
+  /** Λ(v) over `sets`, indexed by node id, kept up to date by `growTo`.
+    * Shared, not copied: callers must not modify it.
+    */
+  def counts: Array[Int] = coverage
+
   /** Number of sets drawn so far. */
   def totalSamples: Long = pool.length
 
-  /** Draw stream indices [totalSamples, size) into the pool; no-op if the
-    * pool already holds `size` sets.
+  /** Draw stream indices [totalSamples, size) into the pool and count them
+    * into `counts`; no-op if the pool already holds `size` sets.
     */
   def growTo(size: Long): Unit = {
     require(size <= Int.MaxValue, s"sample pool of $size sets exceeds Int range")
     val count = size.toInt - pool.length
-    if (count >= MRRSampler.SparkBatchThreshold) pool ++= generateSpark(pool.length, count)
-    else if (count > 0) pool ++= generateLocal(pool.length, count)
-  }
-
-  def generateLocal(from: Long, count: Int): IndexedSeq[Array[Int]] = {
-    val g = bg.value
-    (0 until count).map { i =>
-      val (nodes, work) = MRRSampler.sampleOne(
-        g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
-      totalWork += work
-      nodes
+    if (count > 0) {
+      val fresh = generateLocal(pool.length, count)
+      Coverage.addCounts(coverage, fresh)
+      pool ++= fresh
     }
   }
 
+  /** Sets `[from, from + count)` on the driver. The range is split into at
+    * most one contiguous chunk per core, each at least `MinChunk` sets, run
+    * on the common fork-join pool with a `Scratch` each; set i lands in
+    * slot i - from, so the output does not depend on the split.
+    */
+  def generateLocal(from: Long, count: Int): IndexedSeq[Array[Int]] = {
+    val g = bg.value
+    val out = new Array[Array[Int]](count)
+    val chunks = math.max(1, math.min(Runtime.getRuntime.availableProcessors(),
+                                      count / MRRSampler.MinChunk))
+    def chunk(c: Int): Long = {
+      val s = new MRRSampler.Scratch(g.n)
+      var i = (count.toLong * c / chunks).toInt
+      val end = (count.toLong * (c + 1) / chunks).toInt
+      var work = 0L
+      while (i < end) {
+        work += MRRSampler.sampleInto(
+          s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
+        out(i) = s.result()
+        i += 1
+      }
+      work
+    }
+    totalWork +=
+      (if (chunks == 1) chunk(0)
+       else java.util.stream.IntStream.range(0, chunks).parallel().mapToLong(c => chunk(c)).sum())
+    ArraySeq.unsafeWrapArray(out)
+  }
+
   /** RDD fan-out: every task pulls the broadcast graph and generates its
-    * slice of the sample-index range.
+    * slice of the sample-index range with one `Scratch` per partition. The
+    * reference `generateLocal` is checked against.
     */
   def generateSpark(from: Long, count: Int): IndexedSeq[Array[Int]] = {
     val sc = spark.sparkContext
@@ -170,16 +297,21 @@ final class MRRSamplerCtx(
     val (etaI0, model0, vanilla0, seed0) = (etaI, model, vanillaRoots, seedBase)
     val g0 = bg
     val results = sc
-      .range(from, from + count, numSlices = spark.sparkContext.defaultParallelism)
-      .map { idx =>
-        val (nodes, work) = MRRSampler.sampleOne(
-          g0.value, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
-        (idx, nodes, work.toLong)
+      .range(from, from + count, numSlices = sc.defaultParallelism)
+      .mapPartitions { idxs =>
+        val g = g0.value
+        val s = new MRRSampler.Scratch(g.n)
+        idxs.map { idx =>
+          val work = MRRSampler.sampleInto(
+            s, g, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
+          (s.result(), work.toLong)
+        }
       }
       .collect()
     inactiveB.destroy(); nodesB.destroy()
-    totalWork += results.map(_._3).sum
-    // Restore stream order so driver/spark paths are byte-identical.
-    results.sortBy(_._1).map(_._2).toIndexedSeq
+    totalWork += results.iterator.map(_._2).sum
+    // `range` slices the indices in order and `collect` keeps partition
+    // order, so the sets come back in stream order.
+    ArraySeq.unsafeWrapArray(results.map(_._1))
   }
 }

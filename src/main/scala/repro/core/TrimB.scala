@@ -38,9 +38,9 @@ object TrimB {
 
     var t = 1
     while (true) {
-      // Count over the dense node-id space; active nodes never appear in a
-      // residual mRR-set, so their coverage stays 0.
-      val (batch, covered) = Coverage.greedyCover(ctx.inactive.length, ctx.sets, bEff)
+      // The pool's counts span the dense node-id space; active nodes never
+      // appear in a residual mRR-set, so their coverage stays 0.
+      val (batch, covered) = Coverage.greedyCover(ctx.counts, ctx.sets, bEff)
       val lamL = Trim.lamLower(covered, sch.a1)
       val lamU = Trim.lamUpper(covered / rhoB, sch.a2)
       if ((lamU > 0 && lamL / lamU >= rhoB * (1.0 - sch.epsHat)) || t == sch.T) {

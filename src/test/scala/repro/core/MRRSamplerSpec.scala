@@ -112,12 +112,99 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  private lazy val nethept = GraphGen.dataset(spark, "nethept", scale = 0.05)
+
+  /** Sampling inputs covering both models, both root modes and both root
+    * draws (rejection, and Fisher–Yates at η_i = 2), on full and residual
+    * graphs.
+    */
+  private def inputs: Seq[(String, MRRSamplerCtx)] = {
+    val g = nethept
+    val bg = spark.sparkContext.broadcast(g)
+    def ctx(eta: Int, model: DiffusionModel, vanilla: Boolean, activated: Int,
+            seed: Long): MRRSamplerCtx = {
+      val state = new ResidualState(g, eta)
+      state.activate((0 until activated).toArray)
+      new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes, state.etaI,
+                        model, vanilla, seed)
+    }
+    Seq(
+      "IC multi-root" -> ctx(20, IC, vanilla = false, 0, 11L),
+      "LT multi-root" -> ctx(20, LT, vanilla = false, 0, 12L),
+      "IC vanilla" -> ctx(20, IC, vanilla = true, 0, 13L),
+      "LT vanilla" -> ctx(20, LT, vanilla = true, 0, 14L),
+      "IC residual, Fisher-Yates roots" -> ctx(12, IC, vanilla = false, 10, 15L),
+      "LT residual, Fisher-Yates roots" -> ctx(12, LT, vanilla = false, 10, 16L))
+  }
+
   test("ctx generateLocal and generateSpark are byte-identical") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
-    val local = freshCtx(g, 20, IC, seed = 11L).generateLocal(0, 64)
-    val dist = freshCtx(g, 20, IC, seed = 11L).generateSpark(0, 64)
-    assert(local.size == dist.size)
-    local.zip(dist).foreach { case (a, b) => assert(a.toSeq == b.toSeq) }
+    // 5003 sets split over every driver chunk, unevenly, and every partition.
+    val count = 5003
+    inputs.zip(inputs).foreach { case ((name, local), (_, dist)) =>
+      val a = local.generateLocal(0, count)
+      val b = dist.generateSpark(0, count)
+      assert(a.size == count && b.size == count, name)
+      (0 until count).foreach { i =>
+        assert(a(i).toSeq == b(i).toSeq, s"$name set $i")
+      }
+      assert(local.totalWork == dist.totalWork, name)
+      // Each worker reuses one Scratch; a fresh one per set gives the same.
+      (0 until count by 7).foreach { i =>
+        val (set, _) = MRRSampler.sampleOne(nethept, local.inactive, local.inactiveNodes,
+          local.etaI, local.model, local.vanillaRoots, local.seedBase, i.toLong)
+        assert(a(i).toSeq == set.toSeq, s"$name set $i vs sampleOne")
+      }
+    }
+  }
+
+  test("growTo in uneven steps gives the same pool as one generateLocal") {
+    inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
+      Seq(10L, 700L, 5003L).foreach(ctx.growTo)
+      val all = direct.generateLocal(0, 5003)
+      assert(ctx.sets.length == 5003, name)
+      (0 until 5003).foreach(i => assert(ctx.sets(i).toSeq == all(i).toSeq, s"$name set $i"))
+      assert(ctx.totalWork == direct.totalWork, name)
+    }
+  }
+
+  test("ctx counts equal a full recount after every growTo") {
+    inputs.foreach { case (name, ctx) =>
+      assert(ctx.counts.forall(_ == 0), name)
+      Seq(1L, 10L, 700L, 5003L).foreach { size =>
+        ctx.growTo(size)
+        assert(ctx.counts.toSeq == Coverage.counts(nethept.n, ctx.sets).toSeq, s"$name at $size")
+      }
+    }
+  }
+
+  test("TrimB.select and Ateuc.select leave ctx counts unchanged") {
+    // Greedy beyond the first pick decrements gains; it must do so on a copy.
+    val (_, trimCtx) = inputs.head
+    val sel = TrimB.select(trimCtx, 0.5, 4)
+    assert(sel.seeds.length == 4)
+    assert(trimCtx.counts.toSeq == Coverage.counts(nethept.n, trimCtx.sets).toSeq)
+
+    val state = new ResidualState(nethept, nethept.n / 10)
+    val ateucCtx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept),
+      state.inactive, state.inactiveNodes, state.etaI, IC, vanillaRoots = true, 17L)
+    val res = repro.baselines.Ateuc.select(ateucCtx)
+    assert(res.iterations > 1 && res.numSeeds > 1)
+    assert(ateucCtx.counts.toSeq == Coverage.counts(nethept.n, ateucCtx.sets).toSeq)
+  }
+
+  test("a Scratch driven across the epoch wrap returns the same sets as a fresh one") {
+    inputs.foreach { case (name, ctx) =>
+      val s = new MRRSampler.Scratch(nethept.n)
+      s.epoch = Int.MaxValue - 3
+      (0 until 10).foreach { i =>
+        MRRSampler.sampleInto(s, nethept, ctx.inactive, ctx.inactiveNodes, ctx.etaI,
+                              ctx.model, ctx.vanillaRoots, ctx.seedBase, i.toLong)
+        val (fresh, _) = MRRSampler.sampleOne(nethept, ctx.inactive, ctx.inactiveNodes,
+          ctx.etaI, ctx.model, ctx.vanillaRoots, ctx.seedBase, i.toLong)
+        assert(s.result().toSeq == fresh.toSeq, s"$name set $i")
+      }
+      assert(s.epoch > 0 && s.epoch < 10, s"$name: epoch ${s.epoch} did not wrap")
+    }
   }
 
   test("ctx accounting: totalSamples and totalWork accumulate") {
