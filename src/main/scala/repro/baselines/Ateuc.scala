@@ -66,7 +66,9 @@ object Ateuc {
     var fallback: Array[Int] = Array.empty
     while (iter <= MaxIterations) {
       ctx.growTo(theta)
-      val seq = Coverage.greedySequence(ctx.counts, ctx.sets, n)
+      // Indexed once: the scan below may run over every greedy pick.
+      val seq = Coverage.greedySequence(ctx.counts, ctx.sets, n).toArray
+      val picks = seq.map(_._1)
       var sL = -1
       var sU: Array[Int] = null
       var plain: Array[Int] = null
@@ -74,10 +76,8 @@ object Ateuc {
       while (i < seq.length && sU == null) {
         val c = seq(i)._3
         if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = i + 1
-        if (plain == null && n.toDouble * c / theta >= eta)
-          plain = seq.take(i + 1).map(_._1).toArray
-        if (n * Trim.lamLower(c, a) / theta >= eta)
-          sU = seq.take(i + 1).map(_._1).toArray
+        if (plain == null && n.toDouble * c / theta >= eta) plain = picks.take(i + 1)
+        if (n * Trim.lamLower(c, a) / theta >= eta) sU = picks.take(i + 1)
         i += 1
       }
       if (plain != null) fallback = plain

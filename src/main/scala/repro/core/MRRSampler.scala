@@ -6,6 +6,7 @@ import repro.diffusion.DiffusionModel
 import repro.graph.CompactGraph
 import repro.util.Rng
 
+import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.immutable.ArraySeq
 
 /** Multi-root reverse reachable (mRR) set sampling (§3.3).
@@ -18,17 +19,19 @@ import scala.collection.immutable.ArraySeq
   * AdaptIM baselines consume.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
-  * filled on the driver, with the index range split over the cores
-  * (`MRRSamplerCtx.generateLocal`); the RDD fan-out (`generateSpark`) runs the
-  * same kernel and is kept as the reference the two are tested
-  * byte-identical against.
+  * filled on the driver by one worker per core, each claiming blocks of the
+  * index range from a shared cursor (`MRRSamplerCtx.generateLocal`); the RDD
+  * fan-out (`generateSpark`) runs the same kernel and is kept as the
+  * reference the two are tested byte-identical against.
   */
 object MRRSampler {
 
-  /** Fewest sets one driver worker draws: a smaller doubling stays on the
-    * calling thread, where task hand-off would cost more than it saves.
+  /** Fewest sets in one block of `generateLocal`, and per driver worker.
+    * Small enough that TRIM's first doubling (θ_o ≈ 143 sets on nethept)
+    * spreads over every core: claiming a block costs far less than the
+    * cores a larger minimum leaves idle at the start of every round.
     */
-  val MinChunk = 256
+  val MinBlock = 16
 
   /** Randomized root size (Theorem 3.3's rounding): ⌊n/η⌋ or ⌈n/η⌉. */
   def rootSize(nI: Int, etaI: Int, u: Double): Int = {
@@ -258,32 +261,39 @@ final class MRRSamplerCtx(
     }
   }
 
-  /** Sets `[from, from + count)` on the driver. The range is split into at
-    * most one contiguous chunk per core, each at least `MinChunk` sets, run
-    * on the common fork-join pool with a `Scratch` each; set i lands in
-    * slot i - from, so the output does not depend on the split.
+  /** Sets `[from, from + count)` on the driver. Up to one worker per core,
+    * on the common fork-join pool with a `Scratch` each, claims blocks of
+    * indices from a shared cursor until the range is used up, so uneven set
+    * sizes and late-starting workers balance out. Set i lands in slot
+    * i - from and the workers' work is summed, so the output does not depend
+    * on the schedule.
     */
   def generateLocal(from: Long, count: Int): IndexedSeq[Array[Int]] = {
     val g = bg.value
     val out = new Array[Array[Int]](count)
-    val chunks = math.max(1, math.min(Runtime.getRuntime.availableProcessors(),
-                                      count / MRRSampler.MinChunk))
-    def chunk(c: Int): Long = {
+    val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors(),
+                                       count / MRRSampler.MinBlock))
+    val block = math.max(MRRSampler.MinBlock, count / (8 * workers))
+    val nextBlock = new AtomicInteger(0)
+    def worker(): Long = {
       val s = new MRRSampler.Scratch(g.n)
-      var i = (count.toLong * c / chunks).toInt
-      val end = (count.toLong * (c + 1) / chunks).toInt
       var work = 0L
-      while (i < end) {
-        work += MRRSampler.sampleInto(
-          s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
-        out(i) = s.result()
-        i += 1
+      var i = nextBlock.getAndIncrement().toLong * block
+      while (i < count) {
+        val end = math.min(count.toLong, i + block).toInt
+        while (i < end) {
+          work += MRRSampler.sampleInto(
+            s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
+          out(i.toInt) = s.result()
+          i += 1
+        }
+        i = nextBlock.getAndIncrement().toLong * block
       }
       work
     }
     totalWork +=
-      (if (chunks == 1) chunk(0)
-       else java.util.stream.IntStream.range(0, chunks).parallel().mapToLong(c => chunk(c)).sum())
+      (if (workers == 1) worker()
+       else java.util.stream.IntStream.range(0, workers).parallel().mapToLong(_ => worker()).sum())
     ArraySeq.unsafeWrapArray(out)
   }
 

@@ -85,6 +85,17 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     assert(spreads.min < spreads.max)
   }
 
+  test("when no prefix is certified, the budget runs out and the fallback is returned") {
+    // η = n: the center covers every RR-set, so its estimate reaches η, but
+    // the lower confidence bound stays below full coverage at every θ.
+    val g = GraphGen.star(50, 1.0)
+    val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), g.n, IC, 11L)
+    assert(res.iterations == Ateuc.MaxIterations + 1)
+    assert(res.seeds.toSeq == Seq(0))
+    assert(res.estSpread == g.n)
+    assert(res.samples == Ateuc.InitialTheta.toLong << (Ateuc.MaxIterations - 1))
+  }
+
   test("samples and work counters are populated") {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
     val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), 20, IC, 10L)

@@ -138,32 +138,58 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("ctx generateLocal and generateSpark are byte-identical") {
-    // 5003 sets split over every driver chunk, unevenly, and every partition.
-    val count = 5003
-    inputs.zip(inputs).foreach { case ((name, local), (_, dist)) =>
-      val a = local.generateLocal(0, count)
-      val b = dist.generateSpark(0, count)
-      assert(a.size == count && b.size == count, name)
-      (0 until count).foreach { i =>
-        assert(a(i).toSeq == b(i).toSeq, s"$name set $i")
-      }
-      assert(local.totalWork == dist.totalWork, name)
-      // Each worker reuses one Scratch; a fresh one per set gives the same.
-      (0 until count by 7).foreach { i =>
-        val (set, _) = MRRSampler.sampleOne(nethept, local.inactive, local.inactiveNodes,
-          local.etaI, local.model, local.vanillaRoots, local.seedBase, i.toLong)
-        assert(a(i).toSeq == set.toSeq, s"$name set $i vs sampleOne")
+    // Counts on both sides of the block and worker thresholds (MinBlock =
+    // 16), TRIM's first doubling on nethept (143), and 5003: every worker,
+    // many blocks, a short last block and every partition.
+    Seq(1, 15, 16, 31, 32, 33, 143, 257, 5003).foreach { count =>
+      inputs.zip(inputs).foreach { case ((name, local), (_, dist)) =>
+        val a = local.generateLocal(0, count)
+        val b = dist.generateSpark(0, count)
+        assert(a.size == count && b.size == count, s"$name, $count sets")
+        (0 until count).foreach { i =>
+          assert(a(i).toSeq == b(i).toSeq, s"$name set $i of $count")
+        }
+        assert(local.totalWork == dist.totalWork, s"$name, $count sets")
+        // Each worker reuses one Scratch; a fresh one per set gives the same.
+        (0 until count by 7).foreach { i =>
+          val (set, _) = MRRSampler.sampleOne(nethept, local.inactive, local.inactiveNodes,
+            local.etaI, local.model, local.vanillaRoots, local.seedBase, i.toLong)
+          assert(a(i).toSeq == set.toSeq, s"$name set $i of $count vs sampleOne")
+        }
       }
     }
   }
 
   test("growTo in uneven steps gives the same pool as one generateLocal") {
-    inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
-      Seq(10L, 700L, 5003L).foreach(ctx.growTo)
-      val all = direct.generateLocal(0, 5003)
-      assert(ctx.sets.length == 5003, name)
-      (0 until 5003).foreach(i => assert(ctx.sets(i).toSeq == all(i).toSeq, s"$name set $i"))
-      assert(ctx.totalWork == direct.totalWork, name)
+    // Uneven steps, and TRIM's own doubling sizes from θ_o = 143.
+    Seq(Seq(10L, 700L, 5003L), Seq(143L, 286L, 572L, 1144L, 2288L)).foreach { steps =>
+      val size = steps.last.toInt
+      inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
+        steps.foreach(ctx.growTo)
+        val all = direct.generateLocal(0, size)
+        assert(ctx.sets.length == size, name)
+        (0 until size).foreach { i =>
+          assert(ctx.sets(i).toSeq == all(i).toSeq, s"$name set $i, steps $steps")
+        }
+        assert(ctx.totalWork == direct.totalWork, s"$name, steps $steps")
+      }
+    }
+  }
+
+  test("repeated generateLocal calls on one ctx return the same pool") {
+    // Workers race for blocks; a block claimed twice or skipped would change
+    // a slot or the work of some call.
+    inputs.foreach { case (name, ctx) =>
+      val first = ctx.generateLocal(0, 5003)
+      val work = ctx.totalWork
+      (2 to 20).foreach { call =>
+        val before = ctx.totalWork
+        val again = ctx.generateLocal(0, 5003)
+        (0 until 5003).foreach { i =>
+          assert(again(i).toSeq == first(i).toSeq, s"$name set $i, call $call")
+        }
+        assert(ctx.totalWork - before == work, s"$name work, call $call")
+      }
     }
   }
 
