@@ -13,7 +13,8 @@ import repro.graph.CompactGraph
   * and a lower candidate S_l and stopping once |S_u| ≤ 2|S_l|.
   *
   * Concretely, per doubling iteration over the RR pool R (|R| = θ):
-  *  - run greedy maximum coverage, obtaining prefix coverages c_1 ≤ c_2 ≤ …;
+  *  - pull greedy maximum coverage picks, obtaining prefix coverages
+  *    c_1 ≤ c_2 ≤ …, until S_u below is found;
   *  - S_l = shortest prefix whose *upper*-confidence spread n·Λᵘ(c)/θ ≥ η
   *    (optimistic — |S_l| lower-bounds the optimum w.h.p.);
   *  - S_u = shortest prefix whose *lower*-confidence spread n·Λˡ(c)/θ ≥ η
@@ -66,19 +67,19 @@ object Ateuc {
     var fallback: Array[Int] = Array.empty
     while (iter <= MaxIterations) {
       ctx.growTo(theta)
-      // Indexed once: the scan below may run over every greedy pick.
-      val seq = Coverage.greedySequence(ctx.counts, ctx.sets, n).toArray
-      val picks = seq.map(_._1)
+      // Greedy is pulled only until S_u is certified: Λˡ(c) ≤ c ≤ Λᵘ(c), so
+      // S_l and `plain` are found at or before S_u's pick.
+      val greedy = Coverage.greedy(ctx.counts, ctx.sets)
+      val picks = scala.collection.mutable.ArrayBuffer.empty[Int]
       var sL = -1
       var sU: Array[Int] = null
       var plain: Array[Int] = null
-      var i = 0
-      while (i < seq.length && sU == null) {
-        val c = seq(i)._3
-        if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = i + 1
-        if (plain == null && n.toDouble * c / theta >= eta) plain = picks.take(i + 1)
-        if (n * Trim.lamLower(c, a) / theta >= eta) sU = picks.take(i + 1)
-        i += 1
+      while (sU == null && greedy.hasNext) {
+        val (u, _, c) = greedy.next()
+        picks += u
+        if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = picks.length
+        if (plain == null && n.toDouble * c / theta >= eta) plain = picks.toArray
+        if (n * Trim.lamLower(c, a) / theta >= eta) sU = picks.toArray
       }
       if (plain != null) fallback = plain
       if (sU != null && sL > 0 && sU.length <= 2 * sL)

@@ -48,91 +48,47 @@ object Coverage {
       .toDF("setId", "node")
   }
 
-  /** Number of sets covered by seed set S (Λ_R(S)). */
+  /** Number of sets covered by seed set S (Λ_R(S)). Duplicate seeds and
+    * seeds in no set are harmless.
+    */
   def coveredBy(sets: Iterable[Array[Int]], seeds: Array[Int]): Int = {
-    val seedSet = seeds.toSet
-    sets.count(_.exists(seedSet.contains))
+    val isSeed = new Array[Boolean](if (seeds.isEmpty) 0 else seeds.max + 1)
+    seeds.foreach(isSeed(_) = true)
+    sets.count { set =>
+      var i = 0
+      while (i < set.length && !(set(i) < isSeed.length && isSeed(set(i)))) i += 1
+      i < set.length
+    }
   }
 
-  /** Exact lazy greedy maximum coverage (CELF-style): yields picks in order,
-    * each with its marginal gain and the cumulative number of covered sets.
-    * Stops at `maxPicks` or when no node adds coverage. Shared by TRIM-B's
-    * `Greedy(R)` (Algorithm 3, Line 8; TRIM's argmax at b = 1) and ATEUC's
-    * candidate construction.
+  /** Exact lazy greedy maximum coverage (CELF-style) over `sets`, whose counts
+    * over node ids `0 until counts.length` are `counts` (left unchanged).
+    * Yields picks on demand, in order, each with its marginal gain and the
+    * cumulative number of covered sets: gain descending, ties to the smaller
+    * node id. It ends when no node adds coverage. The first pick is the
+    * argmax of the counts; the inverted index and the heap are built only
+    * when a second pick is pulled, so a caller that stops early pays only
+    * for the picks it takes. Shared by TRIM-B's `Greedy(R)` (Algorithm 3,
+    * Line 8; TRIM's argmax at b = 1) and ATEUC, which pulls only up to its
+    * certified prefix S_u.
+    *
+    * The iterator reads `sets` and `counts` as they are when it is pulled:
+    * use it up or drop it before the pool grows (`MRRSamplerCtx.growTo`).
     */
+  def greedy(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]]): Iterator[(Int, Int, Int)] =
+    new LazyGreedy(counts, sets)
+
+  /** The first `maxPicks` picks of `greedy`, from the counts of `sets`. */
   def greedySequence(n: Int, sets: collection.IndexedSeq[Array[Int]],
                      maxPicks: Int): Seq[(Int, Int, Int)] =
     greedySequence(counts(n, sets), sets, maxPicks)
 
-  /** `greedySequence` from the counts of `sets` over node ids
-    * `0 until counts.length`, already counted. `counts` is left unchanged:
-    * picks after the first work on a copy.
+  /** The first `maxPicks` picks of `greedy(counts, sets)`, fewer if coverage
+    * runs out first.
     */
   def greedySequence(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]],
-                     maxPicks: Int): Seq[(Int, Int, Int)] = {
-    val n = counts.length
-    // The first pick is the argmax of the counts (ties → smallest id). The
-    // inverted index and the queue are built only for a second pick.
-    val (first, firstGain) = if (n > 0) topNode(counts) else (-1, 0)
-    if (maxPicks < 1 || firstGain == 0) Nil
-    else if (maxPicks == 1) List((first, firstGain, firstGain))
-    else (first, firstGain, firstGain) :: greedyRest(n, sets, counts.clone(), first, maxPicks)
-  }
-
-  /** Picks 2..maxPicks of `greedySequence`, given that `first` was picked
-    * with the initial `gains`, which this decrements.
-    */
-  private def greedyRest(n: Int, sets: collection.IndexedSeq[Array[Int]], gains: Array[Int],
-                         first: Int, maxPicks: Int): List[(Int, Int, Int)] = {
-    // Inverted index node -> set ids, built once.
-    val invOff = new Array[Int](n + 1)
-    sets.foreach(_.foreach(v => invOff(v + 1) += 1))
-    var v = 0
-    while (v < n) { invOff(v + 1) += invOff(v); v += 1 }
-    val inv = new Array[Int](invOff(n))
-    val cursor = java.util.Arrays.copyOf(invOff, n)
-    var i = 0
-    while (i < sets.length) {
-      sets(i).foreach { u => inv(cursor(u)) = i; cursor(u) += 1 }
-      i += 1
-    }
-
-    val covered = new Array[Boolean](sets.length)
-    var coveredCount = 0
-    def pick(u: Int): Unit = {
-      var j = invOff(u)
-      while (j < invOff(u + 1)) {
-        val s = inv(j)
-        if (!covered(s)) {
-          covered(s) = true
-          coveredCount += 1
-          sets(s).foreach(w => gains(w) -= 1)
-        }
-        j += 1
-      }
-    }
-    pick(first)
-
-    // Order by gain desc, then node id asc — deterministic tie-breaking that
-    // matches a naive argmax greedy (tested for equivalence). Each node has
-    // at most one entry, and a picked node's gain is 0, so it never returns.
-    val pq = new java.util.PriorityQueue[(Int, Int)](
-      math.max(1, n), Ordering.by[(Int, Int), (Int, Int)](t => (-t._1, t._2)))
-    (0 until n).foreach(u => if (gains(u) > 0) pq.add((gains(u), u)))
-    val out = List.newBuilder[(Int, Int, Int)]
-    var picks = 1
-    while (picks < maxPicks && !pq.isEmpty) {
-      val (gain, u) = pq.poll()
-      if (gain != gains(u)) pq.add((gains(u), u)) // stale entry: re-queue
-      else if (gain == 0) { /* nothing left to cover */ picks = maxPicks }
-      else {
-        pick(u)
-        picks += 1
-        out += ((u, gain, coveredCount))
-      }
-    }
-    out.result()
-  }
+                     maxPicks: Int): Seq[(Int, Int, Int)] =
+    greedy(counts, sets).take(maxPicks).toList
 
   /** Greedy maximum coverage of up to b nodes: (seeds, #sets covered). */
   def greedyCover(n: Int, sets: collection.IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) =
@@ -145,5 +101,134 @@ object Coverage {
                   b: Int): (Array[Int], Int) = {
     val seq = greedySequence(counts, sets, b)
     (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
+  }
+
+  /** The iterator behind `greedy`. Picks after the first come from a max-heap
+    * of `Long` keys `gain << 31 | (Int.MaxValue - u)`, so key order is gain
+    * descending, then node id ascending. Gains only fall as sets get
+    * covered, so a key is an upper bound of its node's gain: a popped key
+    * that is stale is re-keyed and sifted down (or dropped at gain 0), and
+    * a current one is the exact greedy pick.
+    */
+  private final class LazyGreedy(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]])
+      extends Iterator[(Int, Int, Int)] {
+    private val n = counts.length
+    private val (first, firstGain) = if (n > 0) topNode(counts) else (-1, 0)
+    private var picked = 0
+    // Built on the second pull.
+    private var gains: Array[Int] = _
+    private var invOff: Array[Int] = _
+    private var inv: Array[Int] = _
+    private var covered: Array[Boolean] = _
+    private var coveredCount = 0
+    private var heap: Array[Long] = _
+    private var heapSize = 0
+    // The next pick, found by hasNext; -1 when not yet looked for.
+    private var nextNode = -1
+    private var nextGain = 0
+
+    def hasNext: Boolean = {
+      if (nextNode < 0) {
+        if (picked == 0) { if (firstGain > 0) { nextNode = first; nextGain = firstGain } }
+        else {
+          if (heap == null) build()
+          popCurrent()
+        }
+      }
+      nextNode >= 0
+    }
+
+    def next(): (Int, Int, Int) = {
+      if (!hasNext) throw new NoSuchElementException("greedy coverage is exhausted")
+      val u = nextNode
+      val gain = nextGain
+      nextNode = -1
+      picked += 1
+      if (picked == 1) coveredCount = gain else pick(u)
+      (u, gain, coveredCount)
+    }
+
+    /** Inverted index node -> set ids, laid out by `counts`; then the first
+      * pick applied, and the heap of the remaining positive gains.
+      */
+    private def build(): Unit = {
+      invOff = new Array[Int](n + 1)
+      var v = 0
+      while (v < n) { invOff(v + 1) = invOff(v) + counts(v); v += 1 }
+      inv = new Array[Int](invOff(n))
+      val cursor = java.util.Arrays.copyOf(invOff, n)
+      var i = 0
+      while (i < sets.length) {
+        val set = sets(i)
+        var j = 0
+        while (j < set.length) { val u = set(j); inv(cursor(u)) = i; cursor(u) += 1; j += 1 }
+        i += 1
+      }
+      v = 0
+      while (v < n) {
+        require(cursor(v) == invOff(v + 1), s"counts($v) = ${counts(v)} does not match the sets")
+        v += 1
+      }
+      gains = counts.clone()
+      covered = new Array[Boolean](sets.length)
+      coveredCount = 0
+      pick(first)
+
+      heap = new Array[Long](n)
+      v = 0
+      while (v < n) {
+        if (gains(v) > 0) { heap(heapSize) = key(gains(v), v); heapSize += 1 }
+        v += 1
+      }
+      var h = heapSize / 2 - 1
+      while (h >= 0) { siftDown(h); h -= 1 }
+    }
+
+    @inline private def key(gain: Int, u: Int): Long = gain.toLong << 31 | (Int.MaxValue - u)
+
+    /** Cover the sets of `u`, lowering the gains of their members. */
+    private def pick(u: Int): Unit = {
+      var j = invOff(u)
+      while (j < invOff(u + 1)) {
+        val s = inv(j)
+        if (!covered(s)) {
+          covered(s) = true
+          coveredCount += 1
+          val set = sets(s)
+          var k = 0
+          while (k < set.length) { gains(set(k)) -= 1; k += 1 }
+        }
+        j += 1
+      }
+    }
+
+    /** Pop stale keys until the top is current; it becomes the next pick. */
+    private def popCurrent(): Unit =
+      while (nextNode < 0 && heapSize > 0) {
+        val top = heap(0)
+        val u = Int.MaxValue - (top & Int.MaxValue).toInt
+        val gain = (top >>> 31).toInt
+        if (gain == gains(u)) { nextNode = u; nextGain = gain; removeTop() }
+        else if (gains(u) > 0) { heap(0) = key(gains(u), u); siftDown(0) }
+        else removeTop()
+      }
+
+    private def removeTop(): Unit = {
+      heapSize -= 1
+      heap(0) = heap(heapSize)
+      if (heapSize > 0) siftDown(0)
+    }
+
+    private def siftDown(i0: Int): Unit = {
+      val x = heap(i0)
+      var i = i0
+      var c = 2 * i + 1
+      while (c < heapSize) {
+        if (c + 1 < heapSize && heap(c + 1) > heap(c)) c += 1
+        if (heap(c) > x) { heap(i) = heap(c); i = c; c = 2 * i + 1 }
+        else c = heapSize
+      }
+      heap(i) = x
+    }
   }
 }

@@ -17,15 +17,16 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
     extends Serializable {
 
   private val LtSalt = 0x517cc1b727220a95L
+  private val key = Rng.key(seed)
 
   /** IC: is edge e live under φ? */
-  def icLive(e: Int): Boolean = Rng.uniform(seed, e) < graph.probs(e)
+  def icLive(e: Int): Boolean = Rng.keyedUniform(key, e) < graph.probs(e)
 
   /** LT: the single chosen in-edge id of node v, or -1 for "none".
     * The draw walks v's in-edges in deterministic (edge-id) order.
     */
   def ltChosen(v: Int): Int = {
-    val u = Rng.uniform(seed, LtSalt ^ v.toLong)
+    val u = Rng.keyedUniform(key, LtSalt ^ v.toLong)
     var acc = 0.0
     var i = graph.inOff(v)
     while (i < graph.inOff(v + 1)) {
@@ -49,32 +50,53 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
     * activates in the residual graph (§2.3).
     */
   def forwardReachable(seeds: Array[Int], eligible: Array[Boolean]): Array[Int] = {
-    val visited = new Array[Boolean](graph.n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    val out = Array.newBuilder[Int]
-    seeds.foreach { s =>
+    val g = graph
+    val visited = new Array[Boolean](g.n)
+    val lt = model == DiffusionModel.LT
+    // LT: 2 + the chosen in-edge of each node (0 = not drawn yet), so a node
+    // reached over several edges is drawn once.
+    val chosen = if (lt) new Array[Int](g.n) else null
+    // One buffer is the BFS queue (from `head`) and the output (up to `size`).
+    var buf = new Array[Int](math.max(16, seeds.length))
+    var size = 0
+    var i = 0
+    while (i < seeds.length) {
+      val s = seeds(i)
       if (!visited(s) && (eligible == null || eligible(s))) {
-        visited(s) = true; queue.add(s); out += s
+        visited(s) = true; buf(size) = s; size += 1
       }
+      i += 1
     }
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
-      graph.foreachOutEdge(u) { e =>
-        val v = graph.dsts(e)
-        if (!visited(v) && (eligible == null || eligible(v)) && liveInto(e)) {
-          visited(v) = true; queue.add(v); out += v
+    var head = 0
+    while (head < size) {
+      val u = buf(head)
+      head += 1
+      var j = g.outOff(u)
+      while (j < g.outOff(u + 1)) {
+        val e = g.outEdge(j)
+        val v = g.dsts(e)
+        if (!visited(v) && (eligible == null || eligible(v))) {
+          val live =
+            if (lt) { if (chosen(v) == 0) chosen(v) = ltChosen(v) + 2; chosen(v) - 2 == e }
+            else icLive(e)
+          if (live) {
+            visited(v) = true
+            if (size == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * size)
+            buf(size) = v; size += 1
+          }
         }
+        j += 1
       }
     }
-    out.result()
+    java.util.Arrays.copyOf(buf, size)
   }
 
   /** Spread I_φ(S) (optionally restricted to a residual node set). */
   def spread(seeds: Array[Int], eligible: Array[Boolean] = null): Int =
     forwardReachable(seeds, eligible).length
 
-  /** Materialized live edges as a DataFrame (src, dst) — used by the
-    * DataFrame-iterative BFS cross-checks and the oracle tests.
+  /** Materialized live edges as a DataFrame (src, dst) — the input of the
+    * DuckDB recursive-CTE reachability check of `forwardReachable`.
     */
   def liveEdgesDF(spark: SparkSession): DataFrame = {
     import spark.implicits._

@@ -21,11 +21,22 @@ object Rng {
   /** Combine a seed with a stream index into an independent-looking state.
     * The odd multiplier keeps the combination asymmetric in (seed, i).
     */
-  def state(seed: Long, i: Long): Long = mix(mix(seed) * 0x9E3779B97F4A7C15L + mix(i))
+  def state(seed: Long, i: Long): Long = keyedState(key(seed), i)
+
+  /** The seed's share of `state(seed, i)`, to hoist out of loops that draw
+    * many indices from one seed.
+    */
+  def key(seed: Long): Long = mix(seed) * 0x9E3779B97F4A7C15L
+
+  /** `state(seed, i)` from `key(seed)`. */
+  @inline def keyedState(key: Long, i: Long): Long = mix(key + mix(i))
 
   /** Uniform double in [0, 1) from `(seed, i)`. */
-  def uniform(seed: Long, i: Long): Double =
-    (state(seed, i) >>> 11).toDouble / (1L << 53).toDouble
+  def uniform(seed: Long, i: Long): Double = keyedUniform(key(seed), i)
+
+  /** `uniform(seed, i)` from `key(seed)`. */
+  @inline def keyedUniform(key: Long, i: Long): Double =
+    (keyedState(key, i) >>> 11).toDouble / (1L << 53).toDouble
 
   /** Uniform int in [0, bound) from `(seed, i)`; bound must be positive. */
   def uniformInt(seed: Long, i: Long, bound: Int): Int = {

@@ -2,8 +2,9 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.{Coverage, MRRSamplerCtx, ResidualState, Trim}
 import repro.diffusion.{DiffusionModel, Realization, Spread}
-import repro.graph.GraphGen
+import repro.graph.{CompactGraph, GraphGen}
 
 class AteucSpec extends AnyFunSuite with SparkSpec {
 
@@ -100,5 +101,81 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
     val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), 20, IC, 10L)
     assert(res.samples >= Ateuc.InitialTheta && res.work > 0)
+  }
+
+  private def fullGraphCtx(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): MRRSamplerCtx = {
+    val state = new ResidualState(g, eta)
+    new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive, state.inactiveNodes,
+                      eta, model, vanillaRoots = true, seedBase = seed)
+  }
+
+  /** Reference `Ateuc.select` that materializes the full greedy sequence at
+    * every doubling and scans it for S_l, the plain-estimate prefix and S_u,
+    * with `estSpread` through a boxed seed set. `Ateuc.select` pulls greedy
+    * only up to S_u and must return the same result.
+    */
+  private def fullScanSelect(ctx: MRRSamplerCtx): Ateuc.AteucResult = {
+    val n = ctx.inactive.length
+    val eta = ctx.etaI
+    val a = math.log(n.toDouble) + math.log(Ateuc.MaxIterations / 0.01)
+    def result(seeds: Array[Int], iterations: Int) = {
+      val seedSet = seeds.toSet
+      val est = n.toDouble * ctx.sets.count(_.exists(seedSet.contains)) / ctx.sets.length
+      Ateuc.AteucResult(seeds, est, ctx.totalSamples, ctx.totalWork, iterations)
+    }
+    var theta = Ateuc.InitialTheta.toLong
+    var iter = 1
+    var fallback = Array.empty[Int]
+    while (iter <= Ateuc.MaxIterations) {
+      ctx.growTo(theta)
+      val seq = Coverage.greedySequence(ctx.counts, ctx.sets, n).toArray
+      val picks = seq.map(_._1)
+      var sL = -1
+      var sU: Array[Int] = null
+      var plain: Array[Int] = null
+      var i = 0
+      while (i < seq.length && sU == null) {
+        val c = seq(i)._3
+        if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = i + 1
+        if (plain == null && n.toDouble * c / theta >= eta) plain = picks.take(i + 1)
+        if (n * Trim.lamLower(c, a) / theta >= eta) sU = picks.take(i + 1)
+        i += 1
+      }
+      if (plain != null) fallback = plain
+      if (sU != null && sL > 0 && sU.length <= 2 * sL) return result(sU, iter)
+      theta *= 2
+      iter += 1
+    }
+    result(if (fallback.nonEmpty) fallback else Array.tabulate(n)(identity), Ateuc.MaxIterations + 1)
+  }
+
+  test("select matches the full-sequence scan, and its results are pinned") {
+    // (graph, model, η/n, selection seed, then the pinned seeds, samples,
+    // iterations, estSpread and work). The star case runs out of budget.
+    val nethept = GraphGen.dataset(spark, "nethept", scale = 0.1)
+    val star = GraphGen.star(50, 1.0)
+    val cases = Seq(
+      (nethept, IC, 0.01, 21L, Seq(0, 12), 256L, 1, 142.5, 8943L),
+      (nethept, IC, 0.1, 21L, Seq(0, 1, 5, 2, 4, 12), 8192L, 6, 184.248046875, 228622L),
+      (nethept, IC, 0.2, 21L,
+       Seq(0, 1, 5, 2, 4, 12, 10, 6, 3, 9, 23, 18, 7, 13, 22, 24, 30, 11, 16, 33, 8, 15, 19),
+       8192L, 6, 351.42578125, 228622L),
+      (nethept, LT, 0.01, 21L, Seq(0, 12), 256L, 1, 130.625, 8238L),
+      (nethept, LT, 0.1, 21L, Seq(0, 1, 5, 2, 6), 8192L, 6, 201.50390625, 257015L),
+      (nethept, LT, 0.2, 21L, Seq(0, 1, 5, 2, 6, 4, 12, 11, 7, 23, 3, 13, 18, 9), 8192L, 6,
+       349.5703125, 257015L),
+      (star, IC, 1.0, 11L, Seq(0), 2097152L, Ateuc.MaxIterations + 1, 50.0, 2055372L))
+    for ((g, model, frac, seed, seeds, samples, iterations, est, work) <- cases) {
+      val eta = (g.n * frac).toInt
+      val res = Ateuc.select(fullGraphCtx(g, eta, model, seed))
+      val ref = fullScanSelect(fullGraphCtx(g, eta, model, seed))
+      val clue = s"$model, η = $eta"
+      assert(res.seeds.toSeq == ref.seeds.toSeq, clue)
+      assert((res.samples, res.iterations, res.estSpread, res.work) ==
+               (ref.samples, ref.iterations, ref.estSpread, ref.work), clue)
+      assert(res.seeds.toSeq == seeds, clue)
+      assert((res.samples, res.iterations, res.estSpread, res.work) ==
+               (samples, iterations, est, work), clue)
+    }
   }
 }

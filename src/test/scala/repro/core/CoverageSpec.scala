@@ -52,6 +52,10 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     assert(Coverage.coveredBy(sets, Array(2)) == 4)
     assert(Coverage.coveredBy(sets, Array(0, 4)) == 2)
     assert(Coverage.coveredBy(sets, Array.empty[Int]) == 0)
+    // Duplicate seeds count once; seeds in no set (7, 9 ≥ n) add nothing.
+    assert(Coverage.coveredBy(sets, Array(2, 2, 0)) == 4)
+    assert(Coverage.coveredBy(sets, Array(7)) == 0)
+    assert(Coverage.coveredBy(sets, Array(4, 9, 4, 3)) == 2)
   }
 
   private def naiveGreedy(n: Int, ss: IndexedSeq[Array[Int]], b: Int): Seq[(Int, Int, Int)] = {
@@ -116,5 +120,63 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     val ss = IndexedSeq.fill(100)(Array.fill(rnd.nextInt(6) + 1)(rnd.nextInt(20)).distinct)
     val gains = Coverage.greedySequence(20, ss, 20).map(_._2)
     assert(gains.sliding(2).forall(p => p.length < 2 || p(0) >= p(1)), gains.mkString(","))
+  }
+
+  /** Random instances over 12 nodes, plus tie-heavy ones: sets repeated 1–3
+    * times, over pairs of nodes {2k, 2k+1} that always have equal gains.
+    */
+  private def instances(seed: Int): Seq[IndexedSeq[Array[Int]]] = {
+    val rnd = new scala.util.Random(seed)
+    Seq.fill(6) {
+      IndexedSeq.fill(40)(Array.fill(rnd.nextInt(5) + 1)(rnd.nextInt(12)).distinct)
+    } ++ Seq.fill(6) {
+      val base = IndexedSeq.fill(12)(
+        Array.fill(rnd.nextInt(3) + 1)(rnd.nextInt(6)).distinct.flatMap(k => Array(2 * k, 2 * k + 1)))
+      base.flatMap(set => Seq.fill(rnd.nextInt(3) + 1)(set.clone()))
+    }
+  }
+
+  test("pulling k greedy picks gives the first k of naive greedy, for every k") {
+    for (ss <- instances(3)) {
+      val counts = Coverage.counts(12, ss)
+      val full = naiveGreedy(12, ss, 12)
+      (0 to full.length + 1).foreach { k =>
+        assert(Coverage.greedy(counts, ss).take(k).toList == full.take(k), s"k = $k")
+      }
+      assert(counts.toSeq == Coverage.counts(12, ss).toSeq, "counts must be left unchanged")
+    }
+  }
+
+  test("the greedy iterator ends exactly when every gain is 0") {
+    for (ss <- instances(5) :+ IndexedSeq(Array(0), Array(0, 1), Array.empty[Int])) {
+      val it = Coverage.greedy(Coverage.counts(12, ss), ss)
+      val picks = it.toList
+      assert(picks == naiveGreedy(12, ss, 12))
+      // Every non-empty set is covered, so no node has a positive gain left,
+      // and the last pick was the one that covered the last set.
+      assert(picks.last._3 == ss.count(_.nonEmpty))
+      assert(picks.map(_._2).forall(_ > 0))
+      assert(!it.hasNext)
+      intercept[NoSuchElementException](it.next())
+    }
+  }
+
+  test("greedySequence at maxPicks 0, 1, 2 and n, and on an empty pool") {
+    for (ss <- instances(9) :+ sets; n = 12; k <- Seq(0, 1, 2, n))
+      assert(Coverage.greedySequence(n, ss, k) == naiveGreedy(n, ss, k), s"maxPicks = $k")
+    for (k <- Seq(0, 1, 2, 5)) {
+      assert(Coverage.greedySequence(5, IndexedSeq.empty, k) == Nil)
+      assert(Coverage.greedySequence(0, IndexedSeq.empty, k) == Nil)
+      val (seeds, covered) = Coverage.greedyCover(5, IndexedSeq.empty, k)
+      assert(seeds.isEmpty && covered == 0)
+    }
+  }
+
+  test("greedy rejects counts that do not match the sets") {
+    val wrong = Coverage.counts(5, sets)
+    wrong(1) += 1
+    val it = Coverage.greedy(wrong, sets)
+    it.next()
+    intercept[IllegalArgumentException](it.hasNext)
   }
 }

@@ -3,6 +3,7 @@ package repro.diffusion
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.graph.{CompactGraph, GraphGen}
+import repro.util.Rng
 
 class RealizationSpec extends AnyFunSuite with SparkSpec {
 
@@ -137,5 +138,55 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
     // Restricting to the full mask must reproduce the same set.
     val mask = Array.fill(g.n)(true)
     assert(r.forwardReachable(Array(0), mask).toSet == full)
+  }
+
+  /** Reference BFS with a boxed `ArrayDeque` queue and a `liveInto` draw per
+    * examined edge; `forwardReachable` must match it in content and order.
+    */
+  private def boxedReachable(r: Realization, seeds: Array[Int], eligible: Array[Boolean]): Array[Int] = {
+    val g = r.graph
+    val visited = new Array[Boolean](g.n)
+    val queue = new java.util.ArrayDeque[Integer]()
+    val out = Array.newBuilder[Int]
+    seeds.foreach { s =>
+      if (!visited(s) && (eligible == null || eligible(s))) {
+        visited(s) = true; queue.add(s); out += s
+      }
+    }
+    while (!queue.isEmpty) {
+      val u = queue.poll().intValue()
+      g.foreachOutEdge(u) { e =>
+        val v = g.dsts(e)
+        if (!visited(v) && (eligible == null || eligible(v)) && r.liveInto(e)) {
+          visited(v) = true; queue.add(v); out += v
+        }
+      }
+    }
+    out.result()
+  }
+
+  test("forwardReachable matches the boxed BFS in content and order") {
+    val rnd = new scala.util.Random(17)
+    (0 until 60).foreach { trial =>
+      val n = 2 + rnd.nextInt(80)
+      val edges = Seq.fill(rnd.nextInt(4 * n))((rnd.nextInt(n), rnd.nextInt(n)))
+        .filter { case (u, v) => u != v }.distinct
+      val wc = CompactGraph.weightedCascade(n, edges)
+      val uniformP = CompactGraph.fromEdges(n, edges.map { case (u, v) => (u, v, rnd.nextDouble()) })
+      for ((g, model) <- Seq((wc, DiffusionModel.IC), (wc, DiffusionModel.LT), (uniformP, DiffusionModel.IC))) {
+        val r = new Realization(g, model, rnd.nextLong())
+        // The BFS draws IC liveness from Rng.uniform's values.
+        assert((0 until g.m).forall(e => r.icLive(e) == (Rng.uniform(r.seed, e) < g.probs(e))))
+        val picked = Array.fill(rnd.nextInt(6))(rnd.nextInt(n))
+        val seeds = picked ++ picked.take(2) // duplicates
+        val mask = Array.fill(n)(rnd.nextDouble() < 0.7)
+        if (seeds.nonEmpty) mask(seeds(0)) = false // an ineligible seed
+        for (eligible <- Seq(null, mask)) {
+          val fast = r.forwardReachable(seeds, eligible).toSeq
+          val ref = boxedReachable(r, seeds, eligible).toSeq
+          assert(fast == ref, s"trial $trial, $model, mask ${eligible != null}")
+        }
+      }
+    }
   }
 }

@@ -92,4 +92,16 @@ class RngSpec extends AnyFunSuite {
   test("state is deterministic") {
     for (s <- seeds) assert(Rng.state(s, 9L) == Rng.state(s, 9L))
   }
+
+  test("state and uniform keep their splitmix64 values") {
+    // Literals from the reference formula mix(mix(seed) * γ + mix(i)).
+    val pins = Seq(
+      (42L, 7L, 1808941340612884000L, 0.0980629065695664),
+      (-1L, 123456789L, 7988043687871764183L, 0.4330327160149843),
+      (0L, 0L, 7815802643411119495L, 0.4236955102852141))
+    for ((s, i, state, u) <- pins) {
+      assert(Rng.state(s, i) == state && Rng.keyedState(Rng.key(s), i) == state)
+      assert(Rng.uniform(s, i) == u && Rng.keyedUniform(Rng.key(s), i) == u)
+    }
+  }
 }
