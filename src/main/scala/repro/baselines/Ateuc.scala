@@ -64,36 +64,39 @@ object Ateuc {
 
     var theta = InitialTheta.toLong
     var iter = 1
-    var fallback: Array[Int] = Array.empty
+    // The shortest prefix with n·c/θ ≥ η at the latest doubling, and c.
+    var plain: Array[Int] = null
+    var plainCovered = 0
     while (iter <= MaxIterations) {
       ctx.growTo(theta)
       // Greedy is pulled only until S_u is certified: Λˡ(c) ≤ c ≤ Λᵘ(c), so
-      // S_l and `plain` are found at or before S_u's pick.
+      // S_l and `plain` are found at or before S_u's pick. Without S_u,
+      // greedy runs until it covers all θ sets, where n·c/θ = n ≥ η, so
+      // `plain` is found at every doubling.
       val greedy = Coverage.greedy(ctx.counts, ctx.sets)
       val picks = scala.collection.mutable.ArrayBuffer.empty[Int]
       var sL = -1
       var sU: Array[Int] = null
-      var plain: Array[Int] = null
+      var sUCovered = 0
+      plain = null
       while (sU == null && greedy.hasNext) {
         val (u, _, c) = greedy.next()
         picks += u
         if (sL < 0 && n * Trim.lamUpper(c, a) / theta >= eta) sL = picks.length
-        if (plain == null && n.toDouble * c / theta >= eta) plain = picks.toArray
-        if (n * Trim.lamLower(c, a) / theta >= eta) sU = picks.toArray
+        if (plain == null && n.toDouble * c / theta >= eta) { plain = picks.toArray; plainCovered = c }
+        if (n * Trim.lamLower(c, a) / theta >= eta) { sU = picks.toArray; sUCovered = c }
       }
-      if (plain != null) fallback = plain
+      // Greedy's c is the number of sets the prefix covers, so the estimated
+      // spread n·Λ_R(S)/|R| needs no second pass over the pool.
       if (sU != null && sL > 0 && sU.length <= 2 * sL)
-        return AteucResult(sU, estSpread(n, ctx.sets, sU), ctx.totalSamples, ctx.totalWork, iter)
+        return AteucResult(sU, n.toDouble * sUCovered / ctx.totalSamples,
+                           ctx.totalSamples, ctx.totalWork, iter)
       theta *= 2
       iter += 1
     }
     // Budget exhausted: return the last estimate-feasible prefix (still a
     // sensible non-adaptive answer; flagged by iterations == MaxIterations+1).
-    val finalSeeds = if (fallback.nonEmpty) fallback else Array.tabulate(n)(identity)
-    AteucResult(finalSeeds, estSpread(n, ctx.sets, finalSeeds),
+    AteucResult(plain, n.toDouble * plainCovered / ctx.totalSamples,
                 ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
   }
-
-  private def estSpread(n: Int, sets: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
-    n.toDouble * Coverage.coveredBy(sets, seeds) / sets.length
 }

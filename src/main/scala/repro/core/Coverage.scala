@@ -48,19 +48,6 @@ object Coverage {
       .toDF("setId", "node")
   }
 
-  /** Number of sets covered by seed set S (Λ_R(S)). Duplicate seeds and
-    * seeds in no set are harmless.
-    */
-  def coveredBy(sets: Iterable[Array[Int]], seeds: Array[Int]): Int = {
-    val isSeed = new Array[Boolean](if (seeds.isEmpty) 0 else seeds.max + 1)
-    seeds.foreach(isSeed(_) = true)
-    sets.count { set =>
-      var i = 0
-      while (i < set.length && !(set(i) < isSeed.length && isSeed(set(i)))) i += 1
-      i < set.length
-    }
-  }
-
   /** Exact lazy greedy maximum coverage (CELF-style) over `sets`, whose counts
     * over node ids `0 until counts.length` are `counts` (left unchanged).
     * Yields picks on demand, in order, each with its marginal gain and the

@@ -13,10 +13,12 @@ import scala.collection.immutable.ArraySeq
   *
   * A random mRR-set is generated by (1) drawing a root set K of randomized
   * size k = ⌊n_i/η_i⌋ (+1 with probability frac(n_i/η_i)) uniformly without
-  * replacement from the residual nodes, and (2) a stochastic reverse BFS from
-  * K restricted to the residual graph. With `vanillaRoots = true` the sampler
-  * degenerates to single-root RR-sets (k = 1), which is what the ATEUC and
-  * AdaptIM baselines consume.
+  * replacement from the residual nodes, in exactly k draws by Floyd's
+  * algorithm (Bentley & Floyd, CACM 30(9), 1987), and (2) a stochastic
+  * reverse BFS from K restricted to the residual graph. With
+  * `vanillaRoots = true` the sampler degenerates to single-root RR-sets
+  * (k = 1, one draw in [0, n_i)), which is what the ATEUC and AdaptIM
+  * baselines consume.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
   * filled on the driver by one worker per core, each claiming blocks of the
@@ -55,12 +57,6 @@ object MRRSampler {
       */
     private var buf = new Array[Int](64)
     var size = 0
-    /** A copy of `permOf` that the Fisher–Yates root draw permutes in place
-      * and restores, with the swap targets in `swaps`.
-      */
-    private var perm: Array[Int] = null
-    private var permOf: Array[Int] = null
-    private var swaps: Array[Int] = null
 
     def begin(): Unit = {
       if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
@@ -78,29 +74,6 @@ object MRRSampler {
     }
 
     @inline def apply(i: Int): Int = buf(i)
-
-    /** k distinct roots by a partial Fisher–Yates shuffle of `nodes`: the
-      * same draws and picks as shuffling a fresh copy, without the copy.
-      */
-    def permutedRoots(nodes: Array[Int], k: Int, rng: Rng.Stream): Unit = {
-      if (permOf ne nodes) {
-        perm = nodes.clone(); permOf = nodes; swaps = new Array[Int](nodes.length)
-      }
-      val nI = nodes.length
-      var i = 0
-      while (i < k) {
-        val j = i + rng.nextInt(nI - i)
-        swaps(i) = j
-        val tmp = perm(i); perm(i) = perm(j); perm(j) = tmp
-        add(perm(i))
-        i += 1
-      }
-      while (i > 0) {
-        i -= 1
-        val j = swaps(i)
-        val tmp = perm(i); perm(i) = perm(j); perm(j) = tmp
-      }
-    }
 
     /** The current set, copied out. */
     def result(): Array[Int] = java.util.Arrays.copyOf(buf, size)
@@ -128,19 +101,23 @@ object MRRSampler {
     val nI = inactiveNodes.length
     val k = if (vanillaRoots) 1 else rootSize(nI, etaI, rng.nextDouble())
     s.begin()
-
-    // Roots: k distinct uniform draws from the residual nodes. Rejection is
-    // fine for small k; for k close to n_i a partial Fisher-Yates avoids
-    // quadratic rejection.
-    if (k.toLong * 4 < nI) {
-      while (s.size < k) {
-        val v = inactiveNodes(rng.nextInt(nI))
-        if (!s.contains(v)) s.add(v)
-      }
-    } else s.permutedRoots(inactiveNodes, k, rng)
-
+    addRoots(s, inactiveNodes, k, rng)
     if (model == DiffusionModel.IC) reverseIC(s, g, inactive, rng)
     else reverseLT(s, g, inactive, rng)
+  }
+
+  /** Add a uniform k-subset of `nodes` to `s` by Floyd's algorithm, in k
+    * draws. Step j draws a position t in [0, j] and adds the node there, or
+    * the node at position j (which no earlier step could reach) if t's node
+    * is in `s` already.
+    */
+  private[core] def addRoots(s: Scratch, nodes: Array[Int], k: Int, rng: Rng.Stream): Unit = {
+    var j = nodes.length - k
+    while (j < nodes.length) {
+      val v = nodes(rng.nextInt(j + 1))
+      s.add(if (s.contains(v)) nodes(j) else v)
+      j += 1
+    }
   }
 
   /** IC reverse BFS: each in-edge from an inactive source is live

@@ -7,9 +7,10 @@ import org.apache.spark.sql.functions._
 /** Graph statistics backing Table 2: node/edge counts, average degree, and
   * the size of the largest weakly connected component (LWCC).
   *
-  * Degrees are computed relationally (DataFrame aggregation; oracle-checked in
-  * tests); the LWCC uses GraphX `connectedComponents` on the undirected view,
-  * per the repro hint's GraphX mandate.
+  * Table 2 reads n and m from the CSR and the LWCC from GraphX
+  * `connectedComponents` on the undirected view. `degreesDF` is the
+  * relational view of the degrees, checked against the CSR and DuckDB in
+  * tests; Table 2 does not use it.
   */
 object GraphStats {
 

@@ -48,16 +48,6 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("coveredBy counts sets intersecting the seed set") {
-    assert(Coverage.coveredBy(sets, Array(2)) == 4)
-    assert(Coverage.coveredBy(sets, Array(0, 4)) == 2)
-    assert(Coverage.coveredBy(sets, Array.empty[Int]) == 0)
-    // Duplicate seeds count once; seeds in no set (7, 9 ≥ n) add nothing.
-    assert(Coverage.coveredBy(sets, Array(2, 2, 0)) == 4)
-    assert(Coverage.coveredBy(sets, Array(7)) == 0)
-    assert(Coverage.coveredBy(sets, Array(4, 9, 4, 3)) == 2)
-  }
-
   private def naiveGreedy(n: Int, ss: IndexedSeq[Array[Int]], b: Int): Seq[(Int, Int, Int)] = {
     val covered = scala.collection.mutable.Set.empty[Int]
     val picked = scala.collection.mutable.Set.empty[Int]
@@ -106,7 +96,8 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     val (seeds, covered) = Coverage.greedyCover(5, sets, 2)
     assert(seeds.length == 2)
     assert(seeds.head == 2)
-    assert(covered == Coverage.coveredBy(sets, seeds))
+    val isSeed = seeds.toSet
+    assert(covered == sets.count(_.exists(isSeed)))
   }
 
   test("greedyCover achieves optimal coverage on a separable instance") {

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Spread}
 import repro.graph.{CompactGraph, GraphGen}
+import org.apache.commons.math3.distribution.ChiSquaredDistribution
 import repro.util.Rng
 
 class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
@@ -114,9 +115,9 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val nethept = GraphGen.dataset(spark, "nethept", scale = 0.05)
 
-  /** Sampling inputs covering both models, both root modes and both root
-    * draws (rejection, and Fisher–Yates at η_i = 2), on full and residual
-    * graphs.
+  /** Sampling inputs covering both models and both root modes, with few
+    * roots and with half the residual nodes as roots (η_i = 2), on full and
+    * residual graphs.
     */
   private def inputs: Seq[(String, MRRSamplerCtx)] = {
     val g = nethept
@@ -133,8 +134,8 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
       "LT multi-root" -> ctx(20, LT, vanilla = false, 0, 12L),
       "IC vanilla" -> ctx(20, IC, vanilla = true, 0, 13L),
       "LT vanilla" -> ctx(20, LT, vanilla = true, 0, 14L),
-      "IC residual, Fisher-Yates roots" -> ctx(12, IC, vanilla = false, 10, 15L),
-      "LT residual, Fisher-Yates roots" -> ctx(12, LT, vanilla = false, 10, 16L))
+      "IC residual, half the nodes as roots" -> ctx(12, IC, vanilla = false, 10, 15L),
+      "LT residual, half the nodes as roots" -> ctx(12, LT, vanilla = false, 10, 16L))
   }
 
   test("ctx generateLocal and generateSpark are byte-identical") {
@@ -314,5 +315,104 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val withTwo = sets.filter(_.contains(2))
     assert(withTwo.nonEmpty)
     withTwo.foreach(s => assert(s.contains(1), s.mkString(",")))
+  }
+
+  /** Draw `perCell` sets per k-subset of `nodes` and assert, by a chi-square
+    * goodness-of-fit test at level 0.001, that they are uniform over all of
+    * them. Node ids must be below 64.
+    */
+  private def assertUniformSubsets(nodes: Array[Int], k: Int, clue: String)
+                                  (draw: Long => Array[Int]): Unit = {
+    val cells = (1 to k).foldLeft(1L)((c, i) => c * (nodes.length - k + i) / i)
+    val perCell = 400
+    val freq = scala.collection.mutable.HashMap.empty[Long, Int].withDefaultValue(0)
+    (0L until perCell * cells).foreach { i =>
+      val set = draw(i)
+      assert(set.length == k && set.distinct.length == k && set.forall(nodes.contains),
+             s"$clue: set ${set.mkString(",")}")
+      freq(set.foldLeft(0L)((m, v) => m | 1L << v)) += 1
+    }
+    // Subsets never drawn contribute (0 - perCell)² / perCell = perCell each.
+    val stat = freq.values.map(o => (o - perCell).toDouble * (o - perCell) / perCell).sum +
+               (cells - freq.size) * perCell.toDouble
+    if (cells > 1) {
+      val critical = new ChiSquaredDistribution((cells - 1).toDouble)
+        .inverseCumulativeProbability(1 - 1e-3)
+      assert(stat < critical, s"$clue: chi-square $stat over $cells subsets, critical $critical")
+    }
+  }
+
+  /** The nodes of an 8-node graph, and 8 residual nodes of a 12-node one. */
+  private def rootNodeSets: Seq[(String, Int, Array[Int])] = {
+    val residual = new ResidualState(CompactGraph.fromEdges(12, Seq.empty), 12)
+    residual.activate(Array(1, 4, 6, 11))
+    Seq(("fresh", 8, (0 until 8).toArray), ("residual", 12, residual.inactiveNodes))
+  }
+
+  test("Floyd's root draw is uniform over the k-subsets, fresh and residual") {
+    for ((name, n, nodes) <- rootNodeSets; k <- Seq(1, 2, 4, 7, 8)) {
+      val s = new MRRSampler.Scratch(n)
+      assertUniformSubsets(nodes, k, s"$name, k = $k") { i =>
+        s.begin()
+        MRRSampler.addRoots(s, nodes, k, new Rng.Stream(41L + k, i))
+        s.result()
+      }
+    }
+  }
+
+  test("sampleOne's roots are uniform over the k-subsets on no-edge graphs") {
+    // A set on a graph without edges is exactly its roots; n_i/η_i = k.
+    for ((name, n, nodes) <- rootNodeSets; k <- Seq(1, 2, 4, 8);
+         vanilla <- if (k == 1) Seq(false, true) else Seq(false)) {
+      val g = CompactGraph.fromEdges(n, Seq.empty)
+      val inactive = Array.tabulate(n)(nodes.contains(_))
+      assertUniformSubsets(nodes, k, s"$name, k = $k, vanilla $vanilla") { i =>
+        MRRSampler.sampleOne(g, inactive, nodes, nodes.length / k, IC, vanilla, 43L + k, i)._1
+      }
+    }
+  }
+
+  /** Residual masks of `nethept`: none, and one where cascades from random
+    * seeds have activated 5% of the nodes.
+    */
+  private def equivalenceMasks(model: DiffusionModel): Seq[(String, ResidualState)] = {
+    val fresh = new ResidualState(nethept, 1)
+    val residual = new ResidualState(nethept, 1)
+    val rnd = new scala.util.Random(47)
+    var r = 0L
+    while (residual.nActive < nethept.n / 20) {
+      val real = new repro.diffusion.Realization(nethept, model, r)
+      residual.activate(real.forwardReachable(Array(rnd.nextInt(nethept.n)), residual.inactive))
+      r += 1
+    }
+    Seq("fresh" -> fresh, s"${residual.nActive} active" -> residual)
+  }
+
+  test("vanilla RR-sets are byte-identical to the reference sampler's") {
+    for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model)) {
+      val nodes = state.inactiveNodes
+      (0 until 2000).foreach { i =>
+        val (set, work) = MRRSampler.sampleOne(nethept, state.inactive, nodes, 1, model, true, 51L, i)
+        val (ref, refWork) =
+          ReferenceSampler.sampleOne(nethept, state.inactive, nodes, 1, model, true, 51L, i)
+        assert(set.toSeq == ref.toSeq && work == refWork, s"$model $name set $i")
+      }
+    }
+  }
+
+  test("mRR-sets match the reference sampler's in distribution (IC and LT, fresh and residual)") {
+    // Independent streams (different seeds) on the two sides. A set with
+    // half the residual nodes as roots costs about 40 small ones.
+    for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model);
+         (etaI, count) <- Seq(state.nI / 10 -> 20000, 2 -> 4000)) {
+      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+                                  state.inactiveNodes, etaI, model, false, 53L)
+      val sets = ctx.generateLocal(0, count)
+      val ref = (0 until count).map(i => ReferenceSampler.sampleOne(
+        nethept, state.inactive, state.inactiveNodes, etaI, model, false, 59L, i)._1)
+      val failures = SamplerEquivalence.sizeFailures(sets, ref, 1e-3) ++
+                     SamplerEquivalence.coverageFailures(nethept.n, sets, ref, 1e-3)
+      assert(failures.isEmpty, s"$model, $name, η_i = $etaI: ${failures.mkString("; ")}")
+    }
   }
 }

@@ -16,8 +16,11 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     assert(ExpConfig.fracsFor("nethept") == ExpConfig.largeEtaFracs)
   }
 
+  /** One Table 2 run at scale 0.05, shared by the Table 2 tests. */
+  private lazy val table2 = Table2.run(spark, scale = 0.05)
+
   test("Table2.run returns one row per dataset with sane stats") {
-    val rows = Table2.run(spark, scale = 0.05)
+    val rows = table2
     assert(rows.map(_.name) == Seq("nethept", "epinions", "youtube", "livejournal"))
     rows.foreach { r =>
       assert(r.n > 0 && r.m > 0, r.toString)
@@ -27,13 +30,13 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Table2 directedness mirrors the paper's type column") {
-    val rows = Table2.run(spark, scale = 0.05)
+    val rows = table2
     assert(rows.map(r => r.name -> r.directed).toMap ==
       Map("nethept" -> false, "epinions" -> true, "youtube" -> false, "livejournal" -> true))
   }
 
   test("Table2.format renders every dataset row") {
-    val out = Table2.format(Table2.run(spark, scale = 0.05))
+    val out = Table2.format(table2)
     Seq("nethept", "epinions", "youtube", "livejournal").foreach(n => assert(out.contains(n)))
   }
 
