@@ -1,11 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Coverage bookkeeping over a collection of (m)RR-sets: Λ_R(v) is the number
   * of sets containing v (§3.4). Counting runs on the driver, over the sample
-  * pool, which counts each set once as it is drawn (`MRRSamplerCtx.counts`);
-  * the exploded DataFrame view lets the DuckDB oracle check it.
+  * pool, which counts each set once as it is drawn (`MRRSamplerCtx.counts`).
   */
 object Coverage {
 
@@ -36,16 +33,6 @@ object Coverage {
     }
     require(best >= 0, "no eligible node")
     (best, counts(best))
-  }
-
-  /** Exploded (setId, node) relation — the SQL view of the set collection,
-    * consumed by DuckDB-oracle tests.
-    */
-  def setsDF(spark: SparkSession, sets: Seq[Array[Int]]): DataFrame = {
-    import spark.implicits._
-    sets.zipWithIndex
-      .flatMap { case (set, id) => set.map(v => (id, v)) }
-      .toDF("setId", "node")
   }
 
   /** Exact lazy greedy maximum coverage (CELF-style) over `sets`, whose counts

@@ -5,7 +5,7 @@ import repro.graph.CompactGraph
 
 /** Influence spread computation: exact enumeration over the realization space
   * (tiny graphs, used to validate estimators against ground truth), and
-  * Monte-Carlo estimation (driver or RDD-distributed).
+  * RDD-distributed Monte-Carlo estimation.
   *
   * Exact enumeration covers both models: IC iterates edge-status bitmasks
   * (2^m realizations, §2.1), LT iterates live-edge choice vectors
@@ -122,18 +122,6 @@ object Spread {
         (1.0 - r) * avoidProb(n, x, kLo)
       p * eta * (1.0 - pAvoid)
     }.sum
-  }
-
-  /** Driver-side Monte-Carlo E[I(S)] over `trials` seeded realizations. */
-  def mcSpreadLocal(g: CompactGraph, seeds: Array[Int], model: DiffusionModel,
-                    trials: Int, seed0: Long): Double = {
-    var sum = 0.0
-    var t = 0
-    while (t < trials) {
-      sum += new Realization(g, model, seed0 + t).spread(seeds)
-      t += 1
-    }
-    sum / trials
   }
 
   /** RDD-distributed Monte-Carlo E[I(S)]: trials fan out over the cluster,

@@ -27,7 +27,6 @@ final class CompactGraph(
 
   def m: Int = srcs.length
 
-  def outDeg(v: Int): Int = outOff(v + 1) - outOff(v)
   def inDeg(v: Int): Int = inOff(v + 1) - inOff(v)
 
   /** Iterate edge ids leaving `v`. */
@@ -67,11 +66,7 @@ object CompactGraph {
       require(p >= 0.0 && p <= 1.0, s"probability $p out of [0,1]")
       srcs(e) = s; dsts(e) = d; probs(e) = p; e += 1
     }
-    val outOff = offsets(n, srcs)
-    val outEdge = grouped(n, srcs, outOff)
-    val inOff = offsets(n, dsts)
-    val inEdge = grouped(n, dsts, inOff)
-    new CompactGraph(n, srcs, dsts, probs, outOff, outEdge, inOff, inEdge)
+    build(n, srcs, dsts, probs)
   }
 
   /** Build with weighted-cascade probabilities `p(u,v) = 1/indeg(v)` (§6.1). */
@@ -81,16 +76,29 @@ object CompactGraph {
     fromEdges(n, rawEdges.map { case (s, d) => (s, d, 1.0 / indeg(d)) })
   }
 
-  /** Collect a (src, dst) DataFrame and compile to CSR with weighted-cascade
-    * probabilities. Dedup/self-loop hygiene is the generator's job.
+  /** Weighted-cascade graph over the arcs `keys(0 until m)`, each encoded as
+    * src·n + dst and numbered in the order given; in ascending key order the
+    * out-adjacency is the identity.
     */
-  def fromDF(df: DataFrame, n: Int): CompactGraph = {
-    val edges = df
-      .selectExpr("cast(src as int) src", "cast(dst as int) dst")
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-      .toSeq
-    weightedCascade(n, edges)
+  def weightedCascade(n: Int, keys: Array[Long], m: Int): CompactGraph = {
+    val srcs = new Array[Int](m)
+    val dsts = new Array[Int](m)
+    val indeg = new Array[Int](n)
+    var e = 0
+    while (e < m) {
+      srcs(e) = (keys(e) / n).toInt
+      dsts(e) = (keys(e) % n).toInt
+      indeg(dsts(e)) += 1
+      e += 1
+    }
+    build(n, srcs, dsts, Array.tabulate(m)(e => 1.0 / indeg(dsts(e))))
+  }
+
+  private def build(n: Int, srcs: Array[Int], dsts: Array[Int], probs: Array[Double]): CompactGraph = {
+    val outOff = offsets(n, srcs)
+    val inOff = offsets(n, dsts)
+    new CompactGraph(n, srcs, dsts, probs,
+      outOff, grouped(n, srcs, outOff), inOff, grouped(n, dsts, inOff))
   }
 
   private def offsets(n: Int, keys: Array[Int]): Array[Int] = {

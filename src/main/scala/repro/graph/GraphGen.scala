@@ -1,7 +1,7 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.catalyst.expressions.XXH64
 
 /** Synthetic social-network generators.
   *
@@ -10,9 +10,10 @@ import org.apache.spark.sql.functions._
   * paper's shape parameters (directedness, average degree, heavy-tailed
   * degrees, large LWCC) at a reduced default scale — see DESIGN.md §5.
   *
-  * Generation is a distributed DataFrame pipeline: candidate endpoints are
-  * drawn via hash-based inverse-CDF zipf sampling (deterministic per row id,
-  * independent of partitioning), self-loops dropped, duplicates removed.
+  * Generation is one primitive pass on the driver: candidate endpoints are
+  * drawn by hash-based inverse-CDF zipf sampling (deterministic per candidate
+  * id), self-loops dropped, duplicates removed, and arcs numbered in
+  * (src, dst) order, so the graph depends only on (name, scale, seed).
   */
 object GraphGen {
 
@@ -42,79 +43,102 @@ object GraphGen {
       throw new IllegalArgumentException(
         s"unknown dataset '$name'; known: ${datasets.map(_.name).mkString(", ")}"))
 
-  /** Uniform [0,1) column deterministic in (`col` row value, salt). */
-  private def hashU(col: org.apache.spark.sql.Column, salt: Long) =
-    shiftrightunsigned(xxhash64(col, lit(salt)), 11).cast("double") / lit(9007199254740992.0)
-
-  /** Node id drawn from Chung-Lu rank weights w_k ∝ (k+1)^(−β) with
-    * β = 1/(alpha−1), which yields a degree-tail exponent ≈ alpha while
-    * keeping the top hub's edge share bounded (unlike sampling ranks with
-    * probability ∝ k^(−alpha) directly, which hands one node most edges).
-    * Inverse CDF of the truncated power-law over ranks [0, n).
+  /** Uniform [0,1) deterministic in (id, salt): the top 53 bits of Spark
+    * SQL's `xxhash64(id, salt)`, which hashes its arguments in turn from
+    * seed 42.
     */
-  private def zipfNode(col: org.apache.spark.sql.Column, n: Int, alpha: Double, salt: Long) = {
+  private def hashU(id: Long, salt: Long): Double =
+    (XXH64.hashLong(salt, XXH64.hashLong(id, 42L)) >>> 11).toDouble / 9007199254740992.0
+
+  /** Long-range arcs as keys src·n + dst, ascending: Chung-Lu style, one
+    * endpoint drawn from rank weights w_k ∝ (k+1)^(−β) with β = 1/(alpha−1)
+    * (a degree tail ≈ alpha, with the top hub's edge share bounded, unlike
+    * ranks drawn ∝ k^(−alpha), which hand one node most edges) by the inverse
+    * CDF of the truncated power law over [0, n), the other uniform (keeps the
+    * giant weakly-connected component large; zipf×zipf leaves most nodes
+    * isolated). Of the distinct non-loop pairs among `4·target` candidates,
+    * the `target` lexicographically smallest are kept; undirected pairs are
+    * normalised to src < dst and then mirrored.
+    */
+  private def powerLawArcs(n: Int, target: Int, alpha: Double, seed: Long,
+                           undirected: Boolean): Array[Long] = {
     val beta = 1.0 / (alpha - 1.0)
     require(beta < 1.0, s"alpha=$alpha must exceed 2 for a normalizable rank weight")
     val e = 1.0 - beta
     val top = math.pow(n.toDouble + 1.0, e) - 1.0
-    least(lit(n - 1),
-      greatest(lit(0L),
-        (pow(hashU(col, salt) * top + 1.0, lit(1.0 / e)) - 1.0).cast("long")))
-  }
-
-  /** Directed edge list (src, dst) with power-law in/out degrees; exactly the
-    * first `targetEdges` distinct non-loop pairs from the candidate stream.
-    */
-  def powerLawEdges(spark: SparkSession, n: Int, targetEdges: Int, alpha: Double,
-                    seed: Long, undirected: Boolean): DataFrame = {
-    // Chung-Lu style: one zipf-ranked endpoint (heavy-tailed hubs) and one
-    // uniform endpoint (keeps the giant weakly-connected component large, as
-    // in the paper's datasets — pure zipf×zipf leaves most nodes isolated).
-    val candidates = spark.range(math.max(8L, targetEdges * 4L)).select(
-      zipfNode(col("id"), n, alpha, seed) as "a",
-      (hashU(col("id"), seed + 1) * n).cast("long") as "b",
-    ).where(col("a") =!= col("b"))
-    val base =
-      if (undirected)
-        candidates
-          .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst")
-      else candidates.select(col("a") as "src", col("b") as "dst")
-    val deduped = base.distinct().orderBy("src", "dst").limit(targetEdges)
-    if (undirected) deduped.union(deduped.select(col("dst") as "src", col("src") as "dst"))
-    else deduped
+    val candidates = math.max(8, target * 4)
+    val keys = new Array[Long](candidates)
+    var len = 0
+    var id = 0
+    while (id < candidates) {
+      // StrictMath.pow is what Spark SQL's `pow` computes.
+      val zipf = (StrictMath.pow(hashU(id, seed) * top + 1.0, 1.0 / e) - 1.0).toLong
+      val a = math.min(n - 1L, math.max(0L, zipf))
+      val b = (hashU(id, seed + 1) * n).toLong
+      if (a != b) {
+        keys(len) = if (undirected) math.min(a, b) * n + math.max(a, b) else a * n + b
+        len += 1
+      }
+      id += 1
+    }
+    val kept = math.min(target, sortDistinct(keys, len))
+    if (!undirected) java.util.Arrays.copyOf(keys, kept)
+    else {
+      val arcs = java.util.Arrays.copyOf(keys, 2 * kept)
+      var i = 0
+      while (i < kept) { arcs(kept + i) = keys(i) % n * n + keys(i) / n; i += 1 }
+      arcs
+    }
   }
 
   /** Community layer: nodes are grouped into consecutive cliques of size `s`
-    * and fully wired inside each clique (both arc directions). Returns a
-    * (src, dst) DataFrame of `≈ n·(s−1)` arcs built via a distributed
-    * self-join on community id.
+    * and fully wired inside each clique (both arc directions), as keys
+    * src·n + dst.
     */
-  def communityEdges(spark: SparkSession, n: Int, s: Int): DataFrame = {
-    val nodes = spark.range(n).select(
-      col("id") as "node", (col("id") / s).cast("long") as "comm")
-    val a = nodes.select(col("node") as "src", col("comm") as "c1")
-    val b = nodes.select(col("node") as "dst", col("comm") as "c2")
-    a.join(b, col("c1") === col("c2") && col("src") =!= col("dst"))
-      .select("src", "dst")
+  private def communityArcs(n: Int, s: Int): Array[Long] = {
+    val arcs = Array.newBuilder[Long]
+    var u = 0
+    while (u < n) {
+      val first = u / s * s
+      var v = first
+      while (v < math.min(n, first + s)) {
+        if (v != u) arcs += u.toLong * n + v
+        v += 1
+      }
+      u += 1
+    }
+    arcs.result()
+  }
+
+  /** Sorts `keys(0 until len)` and moves its distinct values to the front, in
+    * ascending order; returns their count.
+    */
+  private def sortDistinct(keys: Array[Long], len: Int): Int = {
+    java.util.Arrays.sort(keys, 0, len)
+    var distinct = 0
+    var i = 0
+    while (i < len) {
+      if (distinct == 0 || keys(i) != keys(distinct - 1)) { keys(distinct) = keys(i); distinct += 1 }
+      i += 1
+    }
+    distinct
   }
 
   /** Generate a dataset as a weighted-cascade CompactGraph: community cliques
     * plus power-law long-range edges up to the target arc count. `scale`
-    * shrinks or grows both n and the arc target.
+    * shrinks or grows both n and the arc target. Edge ids follow (src, dst)
+    * order. `spark` is unused: generation runs on the driver alone.
     */
   def dataset(spark: SparkSession, name: String, scale: Double = 1.0, seed: Long = 42): CompactGraph = {
     val spec = datasetSpec(name)
     val n = math.max(16, (spec.n * scale).toInt)
     val targetArcs = math.max(16, (spec.targetEdges * scale).toInt)
-    val cliqueArcs = communityEdges(spark, n, spec.community)
     val cliqueArcCount = n.toLong * (spec.community - 1) // ≈, ignoring the tail clique
     val longRangeArcs = math.max(0L, targetArcs - cliqueArcCount)
     val longTarget = (if (spec.directed) longRangeArcs else longRangeArcs / 2).toInt
-    val edges =
-      if (longTarget == 0) cliqueArcs
-      else cliqueArcs.union(
-        powerLawEdges(spark, n, longTarget, spec.alpha, seed, undirected = !spec.directed))
-    CompactGraph.fromDF(edges.distinct(), n)
+    val arcs = communityArcs(n, spec.community) ++
+      powerLawArcs(n, longTarget, spec.alpha, seed, undirected = !spec.directed)
+    CompactGraph.weightedCascade(n, arcs, sortDistinct(arcs, arcs.length))
   }
 
   // ---- deterministic fixture graphs for tests --------------------------------

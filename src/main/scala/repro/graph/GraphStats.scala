@@ -48,31 +48,6 @@ object GraphStats {
     cc.map { case (_, comp) => (comp, 1L) }.reduceByKey(_ + _).map(_._2).max()
   }
 
-  /** Driver-side WCC via union-find, used to cross-check GraphX in tests. */
-  def lwccSizeLocal(g: CompactGraph): Long = {
-    val parent = Array.tabulate(g.n)(identity)
-    def find(x0: Int): Int = {
-      var x = x0
-      while (parent(x) != x) { parent(x) = parent(parent(x)); x = parent(x) }
-      x
-    }
-    var e = 0
-    while (e < g.m) {
-      val a = find(g.srcs(e)); val b = find(g.dsts(e))
-      if (a != b) parent(a) = b
-      e += 1
-    }
-    val counts = new Array[Long](g.n)
-    var v = 0
-    var best = 0L
-    while (v < g.n) {
-      val r = find(v); counts(r) += 1
-      if (counts(r) > best) best = counts(r)
-      v += 1
-    }
-    best
-  }
-
   def compute(spark: SparkSession, g: CompactGraph): Stats =
     Stats(g.n, g.m, avgDegree(g), lwccSize(spark, g))
 }

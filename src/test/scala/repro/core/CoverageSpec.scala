@@ -44,8 +44,16 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
       Oracle.assertEquivalent(
         driver,
         "SELECT CAST(node AS INT) AS node, count(*) AS cnt FROM sets GROUP BY 1",
-        "sets" -> Coverage.setsDF(spark, ss))
+        "sets" -> setsDF(ss))
     }
+  }
+
+  /** Exploded (setId, node) relation: the SQL view of a set collection. */
+  private def setsDF(ss: Seq[Array[Int]]) = {
+    import spark.implicits._
+    ss.zipWithIndex
+      .flatMap { case (set, id) => set.map(v => (id, v)) }
+      .toDF("setId", "node")
   }
 
   private def naiveGreedy(n: Int, ss: IndexedSeq[Array[Int]], b: Int): Seq[(Int, Int, Int)] = {

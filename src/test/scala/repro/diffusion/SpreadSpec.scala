@@ -10,6 +10,11 @@ class SpreadSpec extends AnyFunSuite with SparkSpec {
 
   private val fig2 = GraphGen.fig2
 
+  /** Driver-side Monte-Carlo E[I(S)] over `trials` seeded realizations. */
+  private def mcSpreadLocal(g: CompactGraph, seeds: Array[Int], model: DiffusionModel,
+                            trials: Int, seed0: Long): Double =
+    (0 until trials).map(t => new Realization(g, model, seed0 + t).spread(seeds).toDouble).sum / trials
+
   test("IC distribution probabilities sum to 1") {
     val dist = Spread.exactSpreadDistribution(fig2, Array(0), IC)
     assert(math.abs(dist.map(_._1).sum - 1.0) < 1e-12)
@@ -122,7 +127,7 @@ class SpreadSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("mcSpreadLocal converges to the exact expectation") {
-    val est = Spread.mcSpreadLocal(fig2, Array(0), IC, 20000, 1L)
+    val est = mcSpreadLocal(fig2, Array(0), IC, 20000, 1L)
     assert(math.abs(est - 2.75) < 0.05, s"est=$est")
   }
 
@@ -133,14 +138,14 @@ class SpreadSpec extends AnyFunSuite with SparkSpec {
 
   test("mcSpread agrees with mcSpreadLocal given identical seeds") {
     val g = GraphGen.star(10, 0.4)
-    val local = Spread.mcSpreadLocal(g, Array(0), IC, 500, 7L)
+    val local = mcSpreadLocal(g, Array(0), IC, 500, 7L)
     val dist = Spread.mcSpread(spark, g, Array(0), IC, 500, 7L)
     assert(math.abs(local - dist) < 1e-9)
   }
 
   test("LT Monte-Carlo matches LT enumeration") {
     val g = CompactGraph.fromEdges(3, Seq((0, 1, 0.5), (1, 2, 0.5)))
-    val est = Spread.mcSpreadLocal(g, Array(0), LT, 20000, 5L)
+    val est = mcSpreadLocal(g, Array(0), LT, 20000, 5L)
     assert(math.abs(est - 1.75) < 0.05, s"est=$est")
   }
 

@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.graph.CompactGraphOps.OutDegree
 
 class CompactGraphSpec extends AnyFunSuite with SparkSpec {
 
@@ -83,7 +84,7 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
   test("fromDF compiles a DataFrame edge list with weighted cascade") {
     import spark.implicits._
     val df = Seq((0, 1), (2, 1)).toDF("src", "dst")
-    val g = CompactGraph.fromDF(df, 3)
+    val g = ReferenceGraphGen.fromDF(df, 3)
     assert(g.n == 3 && g.m == 2)
     assert(g.inEdgesOf(1).map(g.probs).toSeq == Seq(0.5, 0.5))
   }

@@ -1,7 +1,11 @@
 package repro.graph
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.graph.CompactGraphOps.OutDegree
 
 class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
@@ -35,43 +39,43 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("powerLawEdges: no self loops") {
-    val df = GraphGen.powerLawEdges(spark, 100, 300, 2.3, 1L, undirected = false)
+    val df = ReferenceGraphGen.powerLawEdges(spark, 100, 300, 2.3, 1L, undirected = false)
     assert(df.where("src = dst").count() == 0)
   }
 
   test("powerLawEdges: no duplicate directed edges") {
-    val df = GraphGen.powerLawEdges(spark, 100, 300, 2.3, 1L, undirected = false)
+    val df = ReferenceGraphGen.powerLawEdges(spark, 100, 300, 2.3, 1L, undirected = false)
     assert(df.count() == df.distinct().count())
   }
 
   test("powerLawEdges: node ids in range") {
-    val df = GraphGen.powerLawEdges(spark, 50, 150, 2.3, 2L, undirected = false)
+    val df = ReferenceGraphGen.powerLawEdges(spark, 50, 150, 2.3, 2L, undirected = false)
     assert(df.where("src < 0 or src >= 50 or dst < 0 or dst >= 50").count() == 0)
   }
 
   test("powerLawEdges: deterministic in seed") {
     def edgeSet(seed: Long) =
-      GraphGen.powerLawEdges(spark, 80, 200, 2.3, seed, undirected = false)
+      ReferenceGraphGen.powerLawEdges(spark, 80, 200, 2.3, seed, undirected = false)
         .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(edgeSet(7L) == edgeSet(7L))
     assert(edgeSet(7L) != edgeSet(8L))
   }
 
   test("powerLawEdges: undirected output is symmetric") {
-    val df = GraphGen.powerLawEdges(spark, 60, 100, 2.2, 3L, undirected = true)
+    val df = ReferenceGraphGen.powerLawEdges(spark, 60, 100, 2.2, 3L, undirected = true)
     val edges = df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(edges.forall { case (a, b) => edges.contains((b, a)) })
   }
 
   test("powerLawEdges: directed edge count does not exceed target") {
-    val df = GraphGen.powerLawEdges(spark, 100, 250, 2.3, 4L, undirected = false)
+    val df = ReferenceGraphGen.powerLawEdges(spark, 100, 250, 2.3, 4L, undirected = false)
     assert(df.count() <= 250)
     assert(df.count() > 100) // should get reasonably close
   }
 
   test("powerLawEdges: out-degree distribution is heavy-tailed, hubs bounded") {
-    val g = CompactGraph.fromDF(
-      GraphGen.powerLawEdges(spark, 500, 2000, 2.3, 5L, undirected = false), 500)
+    val g = ReferenceGraphGen.fromDF(
+      ReferenceGraphGen.powerLawEdges(spark, 500, 2000, 2.3, 5L, undirected = false), 500)
     val degs = (0 until g.n).map(g.outDeg).sorted.reverse
     // Top 5% of nodes hold a disproportionate (but not degenerate) share.
     val topShare = degs.take(25).sum.toDouble / degs.sum
@@ -80,7 +84,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("communityEdges wires full cliques of size s") {
-    val arcs = GraphGen.communityEdges(spark, 12, 4).collect()
+    val arcs = ReferenceGraphGen.communityEdges(spark, 12, 4).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(arcs.size == 12 * 3)
     // Every intra-community ordered pair present, nothing else.
@@ -89,13 +93,13 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("communityEdges has no cross-community arcs") {
-    val arcs = GraphGen.communityEdges(spark, 20, 5).collect()
+    val arcs = ReferenceGraphGen.communityEdges(spark, 20, 5).collect()
       .map(r => (r.getLong(0), r.getLong(1)))
     assert(arcs.forall { case (a, b) => a / 5 == b / 5 })
   }
 
   test("communityEdges handles a ragged tail community") {
-    val arcs = GraphGen.communityEdges(spark, 10, 4).collect()
+    val arcs = ReferenceGraphGen.communityEdges(spark, 10, 4).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     // Last community is {8, 9}: just the two arcs between them.
     assert(arcs.contains((8L, 9L)) && arcs.contains((9L, 8L)))
@@ -158,5 +162,72 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset(spark, "youtube", scale = 0.02)
     val arcs = (0 until g.m).map(e => (g.srcs(e), g.dsts(e))).toSet
     assert(arcs.forall { case (a, b) => arcs.contains((b, a)) })
+  }
+
+  test("dataset equals the reference pipeline's edges and probabilities at 16 and 64 shuffle partitions") {
+    def arcs(g: CompactGraph) = (0 until g.m).map(e => (g.srcs(e), g.dsts(e)) -> g.probs(e)).toMap
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val cases = GraphGen.datasets.map(_.name -> 0.05) :+ ("nethept" -> 1.0)
+    try for (partitions <- Seq(16, 64); (name, scale) <- cases) {
+      spark.conf.set(key, partitions.toLong)
+      val g = GraphGen.dataset(spark, name, scale)
+      val ref = ReferenceGraphGen.dataset(spark, name, scale)
+      val clue = s"$name ×$scale, $partitions partitions"
+      assert((g.n, g.m) == ((ref.n, ref.m)), clue)
+      assert(arcs(g) == arcs(ref), clue)
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("dataset numbers edges in ascending (src, dst) order, so outEdge is the identity") {
+    for (spec <- GraphGen.datasets) {
+      val g = GraphGen.dataset(spark, spec.name, scale = 0.05)
+      val keys = (0 until g.m).map(e => g.srcs(e).toLong * g.n + g.dsts(e))
+      assert(keys.sliding(2).forall(p => p(0) < p(1)), spec.name)
+      assert(g.outEdge.indices.forall(j => g.outEdge(j) == j), spec.name)
+    }
+  }
+
+  /** `body`'s result and the number of Spark jobs it started. */
+  private def jobsDuring[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val tagKey = "repro.test.tag"
+    val jobs = new AtomicInteger
+    val markerSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(tagKey)) match {
+          case Some("body") => jobs.incrementAndGet()
+          case Some("marker") => markerSeen.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tagKey, "body")
+      val result = body
+      // The listener bus delivers events in order: once the marker job's
+      // start arrives, so has every job `body` started.
+      sc.setLocalProperty(tagKey, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerSeen.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+      (result, jobs.get)
+    } finally {
+      sc.setLocalProperty(tagKey, null)
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  test("dataset launches no Spark job, and two calls return identical arrays") {
+    val (a, jobsA) = jobsDuring(GraphGen.dataset(spark, "nethept", scale = 0.05))
+    val (b, jobsB) = jobsDuring(GraphGen.dataset(spark, "nethept", scale = 0.05))
+    val (_, refJobs) = jobsDuring(ReferenceGraphGen.dataset(spark, "nethept", scale = 0.05))
+    assert(refJobs > 0, "the listener counts the reference pipeline's jobs")
+    assert(jobsA == 0 && jobsB == 0, s"jobs: $jobsA, $jobsB")
+    assert(a.n == b.n)
+    for ((x, y) <- Seq(a.srcs -> b.srcs, a.dsts -> b.dsts, a.outOff -> b.outOff,
+                       a.outEdge -> b.outEdge, a.inOff -> b.inOff, a.inEdge -> b.inEdge))
+      assert(x.sameElements(y))
+    assert(a.probs.sameElements(b.probs))
   }
 }
