@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.diffusion.DiffusionModel
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, NodeQueue}
 import repro.util.Rng
 
 import java.util.concurrent.atomic.AtomicInteger
@@ -18,7 +18,8 @@ import scala.collection.immutable.ArraySeq
   * reverse BFS from K restricted to the residual graph. With
   * `vanillaRoots = true` the sampler degenerates to single-root RR-sets
   * (k = 1, one draw in [0, n_i)), which is what the ATEUC and AdaptIM
-  * baselines consume.
+  * baselines consume. Both steps write into a reused `NodeQueue`, the same
+  * visited set and queue as observation's forward BFS.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
   * filled on the driver by one worker per core, each claiming blocks of the
@@ -43,50 +44,14 @@ object MRRSampler {
     math.min(math.max(1, k), nI)
   }
 
-  /** One worker's reusable buffers for `sampleInto`, so that drawing a set
-    * allocates only its output array. Not thread-safe: one per worker.
-    */
-  private[core] final class Scratch(n: Int) {
-    /** `mark(v) == epoch` iff v is in the current set; an epoch bump clears
-      * every mark, and the array is zeroed only when the epoch wraps.
-      */
-    private val mark = new Array[Int](n)
-    var epoch = 0
-    /** The current set in visit order. BFS visits in append order, so this
-      * is also the BFS queue.
-      */
-    private var buf = new Array[Int](64)
-    var size = 0
-
-    def begin(): Unit = {
-      if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
-      epoch += 1
-      size = 0
-    }
-
-    @inline def contains(v: Int): Boolean = mark(v) == epoch
-
-    @inline def add(v: Int): Unit = {
-      mark(v) = epoch
-      if (size == buf.length) buf = java.util.Arrays.copyOf(buf, size * 2)
-      buf(size) = v
-      size += 1
-    }
-
-    @inline def apply(i: Int): Int = buf(i)
-
-    /** The current set, copied out. */
-    def result(): Array[Int] = java.util.Arrays.copyOf(buf, size)
-  }
-
   /** One mRR-set: node array (unsorted) plus the number of edges examined
     * (the work measure of Lemma 3.8). A one-shot wrapper around `sampleInto`
-    * that allocates its own n-sized `Scratch`.
+    * that allocates its own n-sized `NodeQueue`.
     */
   def sampleOne(g: CompactGraph, inactive: Array[Boolean], inactiveNodes: Array[Int],
                 etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
                 seedBase: Long, idx: Long): (Array[Int], Int) = {
-    val s = new Scratch(g.n)
+    val s = new NodeQueue(g.n)
     val work = sampleInto(s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, idx)
     (s.result(), work)
   }
@@ -94,7 +59,7 @@ object MRRSampler {
   /** Draw set `idx` into `s` (read it with `s.result()`) and return the
     * number of edges examined.
     */
-  private[core] def sampleInto(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+  private[core] def sampleInto(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                                inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel,
                                vanillaRoots: Boolean, seedBase: Long, idx: Long): Int = {
     val rng = new Rng.Stream(seedBase, idx)
@@ -111,7 +76,7 @@ object MRRSampler {
     * the node at position j (which no earlier step could reach) if t's node
     * is in `s` already.
     */
-  private[core] def addRoots(s: Scratch, nodes: Array[Int], k: Int, rng: Rng.Stream): Unit = {
+  private[core] def addRoots(s: NodeQueue, nodes: Array[Int], k: Int, rng: Rng.Stream): Unit = {
     var j = nodes.length - k
     while (j < nodes.length) {
       val v = nodes(rng.nextInt(j + 1))
@@ -123,7 +88,7 @@ object MRRSampler {
   /** IC reverse BFS: each in-edge from an inactive source is live
     * independently.
     */
-  private def reverseIC(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+  private def reverseIC(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
     val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
     var work = 0
@@ -151,7 +116,7 @@ object MRRSampler {
     * renormalizes over {inactive in-edges} ∪ {none}: denominator
     * 1 − Σ_{active u} p(u,v) = Σ_{inactive u} p(u,v) + (1 − Σ_all p).
     */
-  private def reverseLT(s: Scratch, g: CompactGraph, inactive: Array[Boolean],
+  private def reverseLT(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
     val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
     var work = 0
@@ -239,7 +204,7 @@ final class MRRSamplerCtx(
   }
 
   /** Sets `[from, from + count)` on the driver. Up to one worker per core,
-    * on the common fork-join pool with a `Scratch` each, claims blocks of
+    * on the common fork-join pool with a `NodeQueue` each, claims blocks of
     * indices from a shared cursor until the range is used up, so uneven set
     * sizes and late-starting workers balance out. Set i lands in slot
     * i - from and the workers' work is summed, so the output does not depend
@@ -253,7 +218,7 @@ final class MRRSamplerCtx(
     val block = math.max(MRRSampler.MinBlock, count / (8 * workers))
     val nextBlock = new AtomicInteger(0)
     def worker(): Long = {
-      val s = new MRRSampler.Scratch(g.n)
+      val s = new NodeQueue(g.n)
       var work = 0L
       var i = nextBlock.getAndIncrement().toLong * block
       while (i < count) {
@@ -268,14 +233,12 @@ final class MRRSamplerCtx(
       }
       work
     }
-    totalWork +=
-      (if (workers == 1) worker()
-       else java.util.stream.IntStream.range(0, workers).parallel().mapToLong(_ => worker()).sum())
+    totalWork += java.util.stream.IntStream.range(0, workers).parallel().mapToLong(_ => worker()).sum()
     ArraySeq.unsafeWrapArray(out)
   }
 
   /** RDD fan-out: every task pulls the broadcast graph and generates its
-    * slice of the sample-index range with one `Scratch` per partition. The
+    * slice of the sample-index range with one `NodeQueue` per partition. The
     * reference `generateLocal` is checked against.
     */
   def generateSpark(from: Long, count: Int): IndexedSeq[Array[Int]] = {
@@ -287,7 +250,7 @@ final class MRRSamplerCtx(
       .range(from, from + count, numSlices = sc.defaultParallelism)
       .mapPartitions { idxs =>
         val g = g0.value
-        val s = new MRRSampler.Scratch(g.n)
+        val s = new NodeQueue(g.n)
         idxs.map { idx =>
           val work = MRRSampler.sampleInto(
             s, g, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)

@@ -1,7 +1,7 @@
 package repro.diffusion
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, NodeQueue}
 import repro.util.Rng
 
 /** One live-edge realization φ of a probabilistic graph, represented lazily
@@ -51,44 +51,36 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
     */
   def forwardReachable(seeds: Array[Int], eligible: Array[Boolean]): Array[Int] = {
     val g = graph
-    val visited = new Array[Boolean](g.n)
+    // One queue per call keeps the realization immutable and shareable.
+    val q = new NodeQueue(g.n)
+    q.begin()
     val lt = model == DiffusionModel.LT
     // LT: 2 + the chosen in-edge of each node (0 = not drawn yet), so a node
     // reached over several edges is drawn once.
     val chosen = if (lt) new Array[Int](g.n) else null
-    // One buffer is the BFS queue (from `head`) and the output (up to `size`).
-    var buf = new Array[Int](math.max(16, seeds.length))
-    var size = 0
     var i = 0
     while (i < seeds.length) {
       val s = seeds(i)
-      if (!visited(s) && (eligible == null || eligible(s))) {
-        visited(s) = true; buf(size) = s; size += 1
-      }
+      if (!q.contains(s) && (eligible == null || eligible(s))) q.add(s)
       i += 1
     }
     var head = 0
-    while (head < size) {
-      val u = buf(head)
+    while (head < q.size) {
+      val u = q(head)
       head += 1
-      var j = g.outOff(u)
-      while (j < g.outOff(u + 1)) {
-        val e = g.outEdge(j)
+      var e = g.outOff(u)
+      while (e < g.outOff(u + 1)) {
         val v = g.dsts(e)
-        if (!visited(v) && (eligible == null || eligible(v))) {
+        if (!q.contains(v) && (eligible == null || eligible(v))) {
           val live =
             if (lt) { if (chosen(v) == 0) chosen(v) = ltChosen(v) + 2; chosen(v) - 2 == e }
             else icLive(e)
-          if (live) {
-            visited(v) = true
-            if (size == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * size)
-            buf(size) = v; size += 1
-          }
+          if (live) q.add(v)
         }
-        j += 1
+        e += 1
       }
     }
-    java.util.Arrays.copyOf(buf, size)
+    q.result()
   }
 
   /** Spread I_φ(S) (optionally restricted to a residual node set). */

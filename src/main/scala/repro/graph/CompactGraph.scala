@@ -4,11 +4,13 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** A probabilistic directed social network in CSR form, broadcastable to tasks.
   *
-  * Edges are indexed `0 until m`; `srcs(e) -> dsts(e)` carries propagation
-  * probability `probs(e)`. Both an out-adjacency (forward propagation) and an
-  * in-adjacency (reverse reachable sampling) view are materialized. For the LT
-  * model the in-adjacency order of a node defines its live-edge choice order,
-  * so it is kept deterministic (sorted by edge id).
+  * Edges are numbered `0 until m` in ascending (src, dst) order;
+  * `srcs(e) -> dsts(e)` carries propagation probability `probs(e)`. The edges
+  * leaving v are therefore the id range `outOff(v) until outOff(v + 1)`
+  * (forward propagation), and an in-adjacency lists the edge ids entering
+  * each node (reverse reachable sampling). For the LT model the in-adjacency
+  * order of a node defines its live-edge choice order, so it is kept
+  * deterministic (sorted by edge id).
   *
   * Node ids are dense `0 until n`. Graphs in this reproduction are at most a
   * few hundred thousand edges, so the CSR lives on the driver and is shipped
@@ -20,7 +22,6 @@ final class CompactGraph(
     val dsts: Array[Int],
     val probs: Array[Double],
     val outOff: Array[Int],
-    val outEdge: Array[Int], // edge ids grouped by src
     val inOff: Array[Int],
     val inEdge: Array[Int] // edge ids grouped by dst
 ) extends Serializable {
@@ -31,8 +32,8 @@ final class CompactGraph(
 
   /** Iterate edge ids leaving `v`. */
   @inline def foreachOutEdge(v: Int)(f: Int => Unit): Unit = {
-    var i = outOff(v)
-    while (i < outOff(v + 1)) { f(outEdge(i)); i += 1 }
+    var e = outOff(v)
+    while (e < outOff(v + 1)) { f(e); e += 1 }
   }
 
   /** Iterate edge ids entering `v`. */
@@ -54,19 +55,16 @@ final class CompactGraph(
 
 object CompactGraph {
 
-  /** Build from explicit weighted edges. Node ids must lie in [0, n). */
+  /** Build from explicit weighted edges. Node ids must lie in [0, n). Edges
+    * are numbered by a stable sort on (src, dst), whatever order they come in.
+    */
   def fromEdges(n: Int, edges: Seq[(Int, Int, Double)]): CompactGraph = {
-    val m = edges.size
-    val srcs = new Array[Int](m)
-    val dsts = new Array[Int](m)
-    val probs = new Array[Double](m)
-    var e = 0
     edges.foreach { case (s, d, p) =>
       require(s >= 0 && s < n && d >= 0 && d < n, s"edge ($s,$d) out of range [0,$n)")
       require(p >= 0.0 && p <= 1.0, s"probability $p out of [0,1]")
-      srcs(e) = s; dsts(e) = d; probs(e) = p; e += 1
     }
-    build(n, srcs, dsts, probs)
+    val sorted = edges.sortBy { case (s, d, _) => s.toLong * n + d }
+    build(n, sorted.map(_._1).toArray, sorted.map(_._2).toArray, sorted.map(_._3).toArray)
   }
 
   /** Build with weighted-cascade probabilities `p(u,v) = 1/indeg(v)` (§6.1). */
@@ -77,8 +75,8 @@ object CompactGraph {
   }
 
   /** Weighted-cascade graph over the arcs `keys(0 until m)`, each encoded as
-    * src·n + dst and numbered in the order given; in ascending key order the
-    * out-adjacency is the identity.
+    * src·n + dst. The keys must ascend strictly: they are numbered in the
+    * order given, and (src, dst) order is the edge numbering.
     */
   def weightedCascade(n: Int, keys: Array[Long], m: Int): CompactGraph = {
     val srcs = new Array[Int](m)
@@ -86,6 +84,8 @@ object CompactGraph {
     val indeg = new Array[Int](n)
     var e = 0
     while (e < m) {
+      require(e == 0 || keys(e - 1) < keys(e),
+        s"arc keys must ascend strictly: keys($e) = ${keys(e)} follows ${keys(e - 1)}")
       srcs(e) = (keys(e) / n).toInt
       dsts(e) = (keys(e) % n).toInt
       indeg(dsts(e)) += 1
@@ -94,11 +94,10 @@ object CompactGraph {
     build(n, srcs, dsts, Array.tabulate(m)(e => 1.0 / indeg(dsts(e))))
   }
 
+  /** CSR over edges already in (src, dst) order. */
   private def build(n: Int, srcs: Array[Int], dsts: Array[Int], probs: Array[Double]): CompactGraph = {
-    val outOff = offsets(n, srcs)
     val inOff = offsets(n, dsts)
-    new CompactGraph(n, srcs, dsts, probs,
-      outOff, grouped(n, srcs, outOff), inOff, grouped(n, dsts, inOff))
+    new CompactGraph(n, srcs, dsts, probs, offsets(n, srcs), inOff, inEdges(n, dsts, inOff))
   }
 
   private def offsets(n: Int, keys: Array[Int]): Array[Int] = {
@@ -109,15 +108,15 @@ object CompactGraph {
     off
   }
 
-  private def grouped(n: Int, keys: Array[Int], off: Array[Int]): Array[Int] = {
-    val out = new Array[Int](keys.length)
+  private def inEdges(n: Int, dsts: Array[Int], off: Array[Int]): Array[Int] = {
+    val out = new Array[Int](dsts.length)
     val cursor = java.util.Arrays.copyOf(off, n)
     // Edge ids ascend within each group because we scan edges in id order.
     var e = 0
-    while (e < keys.length) {
-      val k = keys(e)
-      out(cursor(k)) = e
-      cursor(k) += 1
+    while (e < dsts.length) {
+      val d = dsts(e)
+      out(cursor(d)) = e
+      cursor(d) += 1
       e += 1
     }
     out

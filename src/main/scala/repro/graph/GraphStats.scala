@@ -4,24 +4,13 @@ import org.apache.spark.graphx.{Edge, Graph => XGraph}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Graph statistics backing Table 2: node/edge counts, average degree, and
-  * the size of the largest weakly connected component (LWCC).
-  *
-  * Table 2 reads n and m from the CSR and the LWCC from GraphX
-  * `connectedComponents` on the undirected view. `degreesDF` is the
-  * relational view of the degrees, checked against the CSR and DuckDB in
-  * tests; Table 2 does not use it.
+/** Graph statistics backing Table 2: the size of the largest weakly
+  * connected component (LWCC), from GraphX `connectedComponents` on the
+  * undirected view. Table 2 reads n and m from the CSR itself. `degreesDF`
+  * is the relational view of the degrees, checked against the CSR and DuckDB
+  * in tests; Table 2 does not use it.
   */
 object GraphStats {
-
-  final case class Stats(n: Int, m: Int, avgDeg: Double, lwcc: Long)
-
-  /** Average total degree 2m/n for undirected-origin graphs stored as two
-    * directed arcs, m/n + m/n = total arcs per node either way; Table 2's
-    * "Avg. deg." column is total incident arcs per node, i.e. m_directed/n
-    * counts each undirected edge twice already, matching the paper.
-    */
-  def avgDegree(g: CompactGraph): Double = g.m.toDouble / g.n
 
   /** Out-degree / in-degree per node as a DataFrame (node, outDeg, inDeg). */
   def degreesDF(spark: SparkSession, g: CompactGraph): DataFrame = {
@@ -47,7 +36,4 @@ object GraphStats {
     val cc = xg.connectedComponents().vertices
     cc.map { case (_, comp) => (comp, 1L) }.reduceByKey(_ + _).map(_._2).max()
   }
-
-  def compute(spark: SparkSession, g: CompactGraph): Stats =
-    Stats(g.n, g.m, avgDegree(g), lwccSize(spark, g))
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Spread}
-import repro.graph.{CompactGraph, GraphGen}
+import repro.graph.{CompactGraph, GraphGen, NodeQueue}
 import org.apache.commons.math3.distribution.ChiSquaredDistribution
 import repro.util.Rng
 
@@ -151,7 +151,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
           assert(a(i).toSeq == b(i).toSeq, s"$name set $i of $count")
         }
         assert(local.totalWork == dist.totalWork, s"$name, $count sets")
-        // Each worker reuses one Scratch; a fresh one per set gives the same.
+        // Each worker reuses one NodeQueue; a fresh one per set gives the same.
         (0 until count by 7).foreach { i =>
           val (set, _) = MRRSampler.sampleOne(nethept, local.inactive, local.inactiveNodes,
             local.etaI, local.model, local.vanillaRoots, local.seedBase, i.toLong)
@@ -219,9 +219,9 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     assert(ateucCtx.counts.toSeq == Coverage.counts(nethept.n, ateucCtx.sets).toSeq)
   }
 
-  test("a Scratch driven across the epoch wrap returns the same sets as a fresh one") {
+  test("a NodeQueue across its epoch wrap gives the same sets") {
     inputs.foreach { case (name, ctx) =>
-      val s = new MRRSampler.Scratch(nethept.n)
+      val s = new NodeQueue(nethept.n)
       s.epoch = Int.MaxValue - 3
       (0 until 10).foreach { i =>
         MRRSampler.sampleInto(s, nethept, ctx.inactive, ctx.inactiveNodes, ctx.etaI,
@@ -351,7 +351,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   test("Floyd's root draw is uniform over the k-subsets, fresh and residual") {
     for ((name, n, nodes) <- rootNodeSets; k <- Seq(1, 2, 4, 7, 8)) {
-      val s = new MRRSampler.Scratch(n)
+      val s = new NodeQueue(n)
       assertUniformSubsets(nodes, k, s"$name, k = $k") { i =>
         s.begin()
         MRRSampler.addRoots(s, nodes, k, new Rng.Stream(41L + k, i))

@@ -25,6 +25,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     rows.foreach { r =>
       assert(r.n > 0 && r.m > 0, r.toString)
       assert(r.avgDeg > 0.5, r.toString)
+      assert(r.avgDeg == (if (r.directed) 2.0 else 1.0) * r.m / r.n, r.toString)
       assert(r.lwcc > 0 && r.lwcc <= r.n, r.toString)
     }
   }

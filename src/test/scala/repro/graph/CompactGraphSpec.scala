@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.CompactGraphOps.OutDegree
 
 class CompactGraphSpec extends AnyFunSuite with SparkSpec {
@@ -73,6 +74,44 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
     for (v <- Seq(0, 1)) {
       val sum = g.inEdgesOf(v).map(g.probs).sum
       assert(math.abs(sum - 1.0) < 1e-12, s"node $v sum=$sum")
+    }
+  }
+
+  test("weightedCascade from arc keys rejects unsorted and duplicate keys") {
+    val unsorted = intercept[IllegalArgumentException](
+      CompactGraph.weightedCascade(3, Array(1L, 5L, 2L, 7L), 4))
+    assert(unsorted.getMessage.contains("keys(2)"))
+    val duplicate = intercept[IllegalArgumentException](
+      CompactGraph.weightedCascade(3, Array(1L, 2L, 2L), 3))
+    assert(duplicate.getMessage.contains("keys(2)"))
+    // Keys past m are ignored.
+    assert(CompactGraph.weightedCascade(3, Array(1L, 2L, 0L), 2).m == 2)
+  }
+
+  test("edges given in any order build the same graph and realizations") {
+    val rnd = new scala.util.Random(23)
+    (0 until 40).foreach { trial =>
+      val n = 2 + rnd.nextInt(60)
+      val edges = Seq.fill(rnd.nextInt(4 * n))((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble()))
+        .filter { case (u, v, _) => u != v }.distinctBy { case (u, v, _) => (u, v) }
+      val (a, b) = (rnd.shuffle(edges), rnd.shuffle(edges))
+      val pairs = Seq(
+        CompactGraph.fromEdges(n, a) -> CompactGraph.fromEdges(n, b),
+        CompactGraph.weightedCascade(n, a.map(e => (e._1, e._2))) ->
+          CompactGraph.weightedCascade(n, b.map(e => (e._1, e._2))))
+      for ((g, h) <- pairs) {
+        for ((x, y) <- Seq(g.srcs -> h.srcs, g.dsts -> h.dsts, g.outOff -> h.outOff,
+                           g.inOff -> h.inOff, g.inEdge -> h.inEdge))
+          assert(x.sameElements(y), s"trial $trial")
+        assert(g.probs.sameElements(h.probs), s"trial $trial")
+        for (model <- DiffusionModel.all) {
+          val seed = rnd.nextLong()
+          val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n))
+          assert(new Realization(g, model, seed).forwardReachable(seeds, null).toSeq ==
+                   new Realization(h, model, seed).forwardReachable(seeds, null).toSeq,
+                 s"trial $trial, $model")
+        }
+      }
     }
   }
 

@@ -31,11 +31,6 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
     best
   }
 
-  test("avgDegree is m/n") {
-    assert(GraphStats.avgDegree(GraphGen.fig2) == 1.0)
-    assert(GraphStats.avgDegree(GraphGen.star(5, 0.5)) == 0.8)
-  }
-
   test("degreesDF matches CSR degrees") {
     val g = GraphGen.fig2
     val byNode = GraphStats.degreesDF(spark, g).collect()
@@ -94,12 +89,6 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
     val g = ReferenceGraphGen.fromDF(
       ReferenceGraphGen.powerLawEdges(spark, 200, 500, 2.3, 13L, undirected = false), 200)
     assert(GraphStats.lwccSize(spark, g) == lwccSizeLocal(g))
-  }
-
-  test("compute bundles all stats") {
-    val g = GraphGen.line(4, 1.0)
-    val s = GraphStats.compute(spark, g)
-    assert(s == GraphStats.Stats(4, 3, 0.75, 4))
   }
 
   test("generated datasets are dominated by one large WCC") {

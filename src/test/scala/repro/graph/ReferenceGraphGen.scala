@@ -5,9 +5,10 @@ import org.apache.spark.sql.functions._
 
 /** The Spark SQL pipeline that generated the datasets before `GraphGen.dataset`
   * moved to the driver, kept as the reference it is checked against. It
-  * computes the same edge set and weighted-cascade probabilities, but numbers
-  * edges in the `collect` order of a hash aggregate, which depends on
-  * `spark.sql.shuffle.partitions`.
+  * computes the same edge set and weighted-cascade probabilities. The
+  * `collect` order of its hash aggregate depends on
+  * `spark.sql.shuffle.partitions`, but `CompactGraph.fromEdges` numbers edges
+  * in (src, dst) order, so both build the same CSR.
   */
 object ReferenceGraphGen {
 
@@ -62,7 +63,7 @@ object ReferenceGraphGen {
   }
 
   /** Collect a (src, dst) DataFrame and compile to CSR with weighted-cascade
-    * probabilities, numbering edges in `collect` order.
+    * probabilities.
     */
   def fromDF(df: DataFrame, n: Int): CompactGraph = {
     val edges = df
