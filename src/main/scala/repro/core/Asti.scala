@@ -43,7 +43,10 @@ case object AdaptImSelector extends Selector {
   def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = TrimB.select(ctx, eps, 1)
 }
 
-/** Result of one adaptive run on one realization. */
+/** Result of one adaptive run on one realization. `samples` and `work` sum
+  * the rounds' `SelectResult`s; `work` counts the random draws of the reverse
+  * BFS, not edges examined.
+  */
 final case class AstiResult(
     seeds: Vector[Int],
     rounds: Int,
@@ -76,6 +79,7 @@ object Asti {
     require(eps > 0 && eps < 1, s"ε=$eps must lie in (0, 1)")
     val g = bg.value
     val state = new ResidualState(g, eta)
+    // Rejects an LT graph whose in-probabilities sum beyond 1 at some node.
     val real = new Realization(g, model, realizationSeed)
     val t0 = System.nanoTime()
     var seeds = Vector.empty[Int]

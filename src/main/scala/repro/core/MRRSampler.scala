@@ -19,7 +19,10 @@ import scala.collection.immutable.ArraySeq
   * `vanillaRoots = true` the sampler degenerates to single-root RR-sets
   * (k = 1, one draw in [0, n_i)), which is what the ATEUC and AdaptIM
   * baselines consume. Both steps write into a reused `NodeQueue`, the same
-  * visited set and queue as observation's forward BFS.
+  * visited set and queue as observation's forward BFS. The reverse BFS does
+  * constant expected work at a node whose in-edges share one probability
+  * (every node with two or more in-edges under weighted cascade), and one
+  * step per in-edge elsewhere.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
   * filled on the driver by one worker per core, each claiming blocks of the
@@ -44,9 +47,9 @@ object MRRSampler {
     math.min(math.max(1, k), nI)
   }
 
-  /** One mRR-set: node array (unsorted) plus the number of edges examined
-    * (the work measure of Lemma 3.8). A one-shot wrapper around `sampleInto`
-    * that allocates its own n-sized `NodeQueue`.
+  /** One mRR-set: node array (unsorted) plus its work, the number of random
+    * draws its reverse BFS made (root draws not counted). A one-shot wrapper
+    * around `sampleInto` that allocates its own n-sized `NodeQueue`.
     */
   def sampleOne(g: CompactGraph, inactive: Array[Boolean], inactiveNodes: Array[Int],
                 etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
@@ -57,7 +60,7 @@ object MRRSampler {
   }
 
   /** Draw set `idx` into `s` (read it with `s.result()`) and return the
-    * number of edges examined.
+    * number of random draws its reverse BFS made.
     */
   private[core] def sampleInto(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                                inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel,
@@ -85,75 +88,143 @@ object MRRSampler {
     }
   }
 
+  /** Most draws of LT's rejection step at one node before the exact scan. */
+  private[core] val LtRejections = 8
+
   /** IC reverse BFS: each in-edge from an inactive source is live
-    * independently.
+    * independently. At a node whose d in-edges share one probability p
+    * (`CompactGraph.sharedP`), the number of live in-edges L ~ Binomial(d, p)
+    * is drawn by sequential inversion from P(L = 0) = (1 − p)^d, then L
+    * distinct in-edges uniformly by Floyd's algorithm. A live edge whose
+    * source is active or visited adds nothing, which is exact because edge
+    * liveness is independent of activity. At other nodes one coin is flipped
+    * per in-edge from an unvisited inactive source.
     */
   private def reverseIC(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
     val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
-    var work = 0
+    val (sharedP, noneLive) = (g.sharedP, g.noneLiveIC)
+    def visit(i: Int): Unit = {
+      val u = srcs(inEdge(i))
+      if (inactive(u) && !s.contains(u)) s.add(u)
+    }
+    var picks: Array[Int] = null // Floyd's positions at the current node
+    var draws = 0
     var head = 0
     while (head < s.size) {
       val v = s(head)
       head += 1
-      var i = inOff(v)
-      val end = inOff(v + 1)
-      while (i < end) {
-        val e = inEdge(i)
-        val u = srcs(e)
-        if (inactive(u)) {
-          work += 1
-          if (!s.contains(u) && rng.nextDouble() < probs(e)) s.add(u)
+      val from = inOff(v)
+      val d = inOff(v + 1) - from
+      val p = sharedP(v)
+      if (p == p) {
+        val x = rng.nextDouble()
+        val odds = p / (1 - p)
+        var pmf = noneLive(v)
+        var cdf = pmf
+        var live = 0
+        while (x >= cdf && live < d) {
+          pmf *= odds * (d - live) / (live + 1)
+          live += 1
+          cdf += pmf
         }
-        i += 1
+        draws += 1
+        // Floyd's algorithm over positions [0, d), as in `addRoots`.
+        if (live > 1 && (picks == null || picks.length < live)) picks = new Array[Int](live)
+        val first = d - live
+        var j = first
+        while (j < d) {
+          var t = rng.nextInt(j + 1)
+          var c = 0
+          while (c < j - first && picks(c) != t) c += 1
+          if (c < j - first) t = j
+          if (live > 1) picks(j - first) = t
+          visit(from + t)
+          j += 1
+        }
+        draws += live
+      } else {
+        var i = from
+        while (i < from + d) {
+          val e = inEdge(i)
+          val u = srcs(e)
+          if (inactive(u) && !s.contains(u)) {
+            draws += 1
+            if (rng.nextDouble() < probs(e)) s.add(u)
+          }
+          i += 1
+        }
       }
     }
-    work
+    draws
   }
 
   /** LT reverse BFS: v picks at most one live in-edge. Conditioned on v being
     * inactive, edges from active sources are excluded and the draw
     * renormalizes over {inactive in-edges} ∪ {none}: denominator
     * 1 − Σ_{active u} p(u,v) = Σ_{inactive u} p(u,v) + (1 − Σ_all p).
+    * At a node whose d in-edges share one probability p, one uniform x picks
+    * "none" if x ≥ p·d and in-edge ⌊x/p⌋ otherwise, redrawn while that edge's
+    * source is active; after `LtRejections` draws the exact scan decides.
+    * Each step draws from the exact conditional, so their mixture does too.
     */
   private def reverseLT(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
-    val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
-    var work = 0
+    val (inOff, inEdge, srcs, probs, sharedP) = (g.inOff, g.inEdge, g.srcs, g.probs, g.sharedP)
+    val Undrawn = -2
+    var draws = 0
     var head = 0
     while (head < s.size) {
       val v = s(head)
       head += 1
+      val from = inOff(v)
       val end = inOff(v + 1)
-      var sumAll = 0.0
-      var sumInactive = 0.0
-      var i = inOff(v)
-      while (i < end) {
-        val e = inEdge(i)
-        work += 1
-        sumAll += probs(e)
-        if (inactive(srcs(e))) sumInactive += probs(e)
-        i += 1
-      }
-      val noneProb = math.max(0.0, 1.0 - sumAll)
-      val denom = sumInactive + noneProb
-      if (denom > 0 && sumInactive > 0) {
-        val draw = rng.nextDouble() * denom
-        var acc = 0.0
-        var chosen = -1
-        i = inOff(v)
-        while (chosen < 0 && i < end) {
-          val e = inEdge(i)
-          if (inactive(srcs(e))) {
-            acc += probs(e)
-            if (draw < acc) chosen = srcs(e)
+      val p = sharedP(v)
+      var chosen = Undrawn // then the chosen source, or -1 for none
+      if (p == p) {
+        val d = end - from
+        val live = p * d
+        var tries = 0
+        while (chosen == Undrawn && tries < LtRejections) {
+          val x = rng.nextDouble()
+          tries += 1
+          if (x >= live) chosen = -1
+          else {
+            val u = srcs(inEdge(from + math.min((x / p).toInt, d - 1)))
+            if (inactive(u)) chosen = u
           }
+        }
+        draws += tries
+      }
+      if (chosen == Undrawn) {
+        var sumAll = 0.0
+        var sumInactive = 0.0
+        var i = from
+        while (i < end) {
+          val e = inEdge(i)
+          sumAll += probs(e)
+          if (inactive(srcs(e))) sumInactive += probs(e)
           i += 1
         }
-        if (chosen >= 0 && !s.contains(chosen)) s.add(chosen)
+        val denom = sumInactive + math.max(0.0, 1.0 - sumAll)
+        if (denom > 0 && sumInactive > 0) {
+          draws += 1
+          val draw = rng.nextDouble() * denom
+          var acc = 0.0
+          i = from
+          while (chosen < 0 && i < end) {
+            val e = inEdge(i)
+            if (inactive(srcs(e))) {
+              acc += probs(e)
+              if (draw < acc) chosen = srcs(e)
+            }
+            i += 1
+          }
+        }
       }
+      if (chosen >= 0 && !s.contains(chosen)) s.add(chosen)
     }
-    work
+    draws
   }
 }
 
@@ -175,6 +246,12 @@ final class MRRSamplerCtx(
 ) {
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
   private val coverage = new Array[Int](inactive.length)
+  if (model == DiffusionModel.LT) bg.value.requireLT()
+
+  /** Random draws made by the reverse BFS of every set drawn by this context
+    * (`sampleOne`'s work), summed over all `generateLocal` and
+    * `generateSpark` calls.
+    */
   var totalWork: Long = 0L
 
   def nI: Int = inactiveNodes.length

@@ -11,10 +11,13 @@ import repro.util.Rng
   * by hashing `(seed, edge or node)`. The same `Realization` object therefore
   * yields consistent answers across all ASTI rounds — the progressive
   * revelation that adaptive policies require — and is trivially shippable to
-  * executors.
+  * executors. An LT realization rejects a graph where some node's in-edge
+  * probabilities sum beyond 1 (`CompactGraph.requireLT`).
   */
 final class Realization(val graph: CompactGraph, val model: DiffusionModel, val seed: Long)
     extends Serializable {
+
+  if (model == DiffusionModel.LT) graph.requireLT()
 
   private val LtSalt = 0x517cc1b727220a95L
   private val key = Rng.key(seed)

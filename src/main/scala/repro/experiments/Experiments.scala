@@ -151,6 +151,9 @@ object Table3 {
   */
 object AlgoComparison {
 
+  /** `avgWork` is the mean number of random draws the reverse BFS made per
+    * run (the `draws` column).
+    */
   final case class Row(algo: String, avgSeeds: Double, avgSamples: Double,
                        avgWork: Double, avgMillis: Double, feasible: Int,
                        realizations: Int)
@@ -189,7 +192,7 @@ object AlgoComparison {
   def format(dataset: String, model: DiffusionModel, etaFrac: Double,
              rows: Seq[Row]): String = {
     val header =
-      f"[$dataset ${model.name} η/n=$etaFrac] ${"algo"}%-8s ${"seeds"}%8s ${"samples"}%12s ${"edgeWork"}%12s ${"ms"}%8s  feasible"
+      f"[$dataset ${model.name} η/n=$etaFrac] ${"algo"}%-8s ${"seeds"}%8s ${"samples"}%12s ${"draws"}%12s ${"ms"}%8s  feasible"
     val lines = rows.map { r =>
       f"  ${r.algo}%-8s ${r.avgSeeds}%8.2f ${r.avgSamples}%12.0f ${r.avgWork}%12.0f ${r.avgMillis}%8.0f  ${r.feasible}/${r.realizations}"
     }

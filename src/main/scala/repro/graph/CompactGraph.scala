@@ -30,6 +30,40 @@ final class CompactGraph(
 
   def inDeg(v: Int): Int = inOff(v + 1) - inOff(v)
 
+  /** Per node v: the probability p that all d = indeg(v) of its in-edges
+    * share, where the reverse sampler draws v's live in-edges in constant
+    * expected work; NaN where it takes the per-edge path. A node qualifies
+    * when p ∈ (0, 1) and (1 − p)^d is a normal double, so IC's binomial
+    * inversion never starts from an underflowed 0. Under weighted cascade
+    * every node with d ≥ 2 qualifies, since (1 − 1/d)^d ≥ 1/4.
+    */
+  val sharedP: Array[Double] = new Array[Double](n)
+
+  /** (1 − p)^d at the nodes of `sharedP` (NaN elsewhere): the IC chance that
+    * none of v's in-edges is live.
+    */
+  val noneLiveIC: Array[Double] = new Array[Double](n)
+  CompactGraph.fillSharedProbs(this)
+
+  /** The first node whose in-edge probabilities sum beyond 1 (by more than
+    * 1e-9), which the LT model cannot draw from, or -1.
+    */
+  val ltExcessNode: Int = CompactGraph.firstLtExcess(this)
+
+  private[graph] def inProbSum(v: Int): Double = {
+    var sum = 0.0
+    var i = inOff(v)
+    while (i < inOff(v + 1)) { sum += probs(inEdge(i)); i += 1 }
+    sum
+  }
+
+  /** Rejects a graph the LT model cannot run on, naming the first node whose
+    * in-edge probabilities sum beyond 1.
+    */
+  def requireLT(): Unit = require(ltExcessNode < 0,
+    s"LT needs every node's in-edge probabilities to sum to at most 1; " +
+    s"node $ltExcessNode's sum to ${inProbSum(ltExcessNode)}")
+
   /** Iterate edge ids leaving `v`. */
   @inline def foreachOutEdge(v: Int)(f: Int => Unit): Unit = {
     var e = outOff(v)
@@ -92,6 +126,36 @@ object CompactGraph {
       e += 1
     }
     build(n, srcs, dsts, Array.tabulate(m)(e => 1.0 / indeg(dsts(e))))
+  }
+
+  // The per-node scans behind `sharedP`, `noneLiveIC` and `ltExcessNode`
+  // live here, not in the constructor body: HotSpot ran the same loop there
+  // several times slower, which showed in the graph set-up time.
+
+  private def fillSharedProbs(g: CompactGraph): Unit = {
+    var v = 0
+    while (v < g.n) {
+      val (from, until) = (g.inOff(v), g.inOff(v + 1))
+      val p = if (from < until) g.probs(g.inEdge(from)) else Double.NaN
+      var shared = p > 0 && p < 1
+      var i = from
+      while (shared && i < until) { shared = g.probs(g.inEdge(i)) == p; i += 1 }
+      val none = if (shared) math.pow(1 - p, until - from) else 0.0
+      if (none >= java.lang.Double.MIN_NORMAL) {
+        g.sharedP(v) = p
+        g.noneLiveIC(v) = none
+      } else {
+        g.sharedP(v) = Double.NaN
+        g.noneLiveIC(v) = Double.NaN
+      }
+      v += 1
+    }
+  }
+
+  private def firstLtExcess(g: CompactGraph): Int = {
+    var v = 0
+    while (v < g.n && g.inProbSum(v) <= 1 + 1e-9) v += 1
+    if (v < g.n) v else -1
   }
 
   /** CSR over edges already in (src, dst) order. */

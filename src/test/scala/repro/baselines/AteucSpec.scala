@@ -152,18 +152,19 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
   test("select matches the full-sequence scan, and its results are pinned") {
     // (graph, model, η/n, selection seed, then the pinned seeds, samples,
     // iterations, estSpread and work). The star case runs out of budget.
+    // Pinned at the constant-work reverse BFS, whose work counts draws.
     val nethept = GraphGen.dataset(spark, "nethept", scale = 0.1)
     val star = GraphGen.star(50, 1.0)
     val cases = Seq(
-      (nethept, IC, 0.01, 21L, Seq(0, 5), 256L, 1, 136.5625, 8258L),
-      (nethept, IC, 0.1, 21L, Seq(0, 1, 5, 6, 2, 3), 8192L, 6, 188.14453125, 229187L),
+      (nethept, IC, 0.01, 21L, Seq(1, 4), 256L, 1, 106.875, 1842L),
+      (nethept, IC, 0.1, 21L, Seq(0, 1, 5, 2, 4, 6), 8192L, 6, 190.0, 55585L),
       (nethept, IC, 0.2, 21L,
-       Seq(0, 1, 5, 6, 2, 3, 10, 4, 12, 15, 23, 30, 11, 7, 8, 13, 22, 26, 16, 33, 17, 9),
-       8192L, 6, 350.3125, 229187L),
-      (nethept, LT, 0.01, 21L, Seq(0, 2), 256L, 1, 136.5625, 8906L),
-      (nethept, LT, 0.1, 21L, Seq(0, 1, 5, 4, 2), 8192L, 6, 201.875, 258887L),
+       Seq(0, 1, 5, 2, 4, 6, 11, 22, 12, 9, 13, 23, 3, 7, 24, 30, 18, 8, 32, 36, 15, 19, 33),
+       8192L, 6, 349.94140625, 55585L),
+      (nethept, LT, 0.01, 21L, Seq(0, 2), 256L, 1, 136.5625, 1027L),
+      (nethept, LT, 0.1, 21L, Seq(0, 1, 5, 4, 2), 8192L, 6, 201.875, 32181L),
       (nethept, LT, 0.2, 21L, Seq(0, 1, 2, 6, 5, 4, 3, 10, 7, 13, 9, 8, 23, 17), 4096L, 5,
-       363.30078125, 130279L),
+       363.30078125, 16212L),
       (star, IC, 1.0, 11L, Seq(0), 2097152L, Ateuc.MaxIterations + 1, 50.0, 2055372L))
     for ((g, model, frac, seed, seeds, samples, iterations, est, work) <- cases) {
       val eta = (g.n * frac).toInt

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Realization}
-import repro.graph.GraphGen
+import repro.graph.{CompactGraph, GraphGen}
 
 class AstiSpec extends AnyFunSuite with SparkSpec {
 
@@ -149,5 +149,23 @@ class AstiSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
     val res = Asti.run(spark, g, 20, 0.5, TrimSelector, IC, 15L)
     assert(res.samples > 0 && res.work > 0 && res.wallMillis >= 0)
+  }
+
+  test("LT entry points reject in-probabilities summing beyond 1, naming the node") {
+    val g = GraphGen.fig2 // v4's two in-edges have probability 1 each
+    def rejects(run: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](run)
+      assert(e.getMessage.contains("node 3's sum to 2.0"), e.getMessage)
+    }
+    rejects(new Realization(g, LT, 1L))
+    rejects(Asti.run(spark, g, 2, 0.5, TrimSelector, LT, 1L))
+    rejects(repro.baselines.Ateuc.select(spark, spark.sparkContext.broadcast(g), 2, LT, 1L))
+    assert(Asti.run(spark, g, 2, 0.5, TrimSelector, IC, 1L).finalSpread >= 2)
+    // Up to 1e-9 over 1 passes, as rounding; more does not.
+    def third(extra: Double) = CompactGraph.fromEdges(4, Seq(
+      (0, 3, 1.0 / 3), (1, 3, 1.0 / 3), (2, 3, 1.0 / 3 + extra)))
+    assert(new Realization(third(1e-12), LT, 1L).spread(Array(0)) >= 1)
+    assert(intercept[IllegalArgumentException](new Realization(third(1e-8), LT, 1L))
+             .getMessage.contains("node 3's"))
   }
 }

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Spread}
 import repro.graph.{CompactGraph, GraphGen, NodeQueue}
-import org.apache.commons.math3.distribution.ChiSquaredDistribution
+import org.apache.commons.math3.distribution.{BinomialDistribution, ChiSquaredDistribution}
+import org.apache.commons.math3.stat.inference.ChiSquareTest
 import repro.util.Rng
 
 class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
@@ -388,15 +389,17 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     Seq("fresh" -> fresh, s"${residual.nActive} active" -> residual)
   }
 
-  test("vanilla RR-sets are byte-identical to the reference sampler's") {
+  test("vanilla RR-sets match the reference sampler's in distribution") {
+    // IC and LT, fresh and residual; independent streams on the two sides.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model)) {
-      val nodes = state.inactiveNodes
-      (0 until 2000).foreach { i =>
-        val (set, work) = MRRSampler.sampleOne(nethept, state.inactive, nodes, 1, model, true, 51L, i)
-        val (ref, refWork) =
-          ReferenceSampler.sampleOne(nethept, state.inactive, nodes, 1, model, true, 51L, i)
-        assert(set.toSeq == ref.toSeq && work == refWork, s"$model $name set $i")
-      }
+      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+                                  state.inactiveNodes, 1, model, true, 51L)
+      val sets = ctx.generateLocal(0, 20000)
+      val ref = (0 until 20000).map(i => ReferenceSampler.sampleOne(
+        nethept, state.inactive, state.inactiveNodes, 1, model, true, 57L, i)._1)
+      val failures = SamplerEquivalence.sizeFailures(sets, ref, 1e-3) ++
+                     SamplerEquivalence.coverageFailures(nethept.n, sets, ref, 1e-3)
+      assert(failures.isEmpty, s"$model, $name: ${failures.mkString("; ")}")
     }
   }
 
@@ -414,5 +417,190 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
                      SamplerEquivalence.coverageFailures(nethept.n, sets, ref, 1e-3)
       assert(failures.isEmpty, s"$model, $name, η_i = $etaI: ${failures.mkString("; ")}")
     }
+  }
+
+  /** Asserts by a chi-square goodness-of-fit test at level 1e-3 that the
+    * counts `observed` follow the cell probabilities `probs` (summing to 1).
+    * Cells expecting fewer than 5 counts are pooled; a pool that still
+    * expects fewer than 5 joins the largest cell.
+    */
+  private def assertFits(clue: String, probs: Seq[Double], observed: Seq[Long]): Unit = {
+    val total = observed.sum.toDouble
+    val (big, small) = probs.zip(observed).partition(_._1 * total >= 5)
+    val pool = (small.map(_._1).sum, small.map(_._2).sum)
+    val cells =
+      if (small.isEmpty) big
+      else if (pool._1 * total >= 5) big :+ pool
+      else {
+        val top = big.indices.maxBy(big(_)._1)
+        big.updated(top, (big(top)._1 + pool._1, big(top)._2 + pool._2))
+      }
+    if (cells.length > 1) {
+      val p = new ChiSquareTest().chiSquareTest(cells.map(_._1 * total).toArray, cells.map(_._2).toArray)
+      assert(p >= 1e-3, s"$clue: p = $p over ${cells.length} cells")
+    }
+  }
+
+  /** Node 0 with in-edges from sources 1..d, each of probability p. */
+  private def inStar(d: Int, p: Double): CompactGraph =
+    CompactGraph.fromEdges(d + 1, (1 to d).map(u => (u, 0, p)))
+
+  /** The masks of the l-subsets of d bits, ascending (Gosper's hack). */
+  private def subsetMasks(d: Int, l: Int): Seq[Long] =
+    if (l == 0) Seq(0L)
+    else Iterator.iterate((1L << l) - 1) { c =>
+      val u = c & -c
+      val v = c + u
+      v + (((v ^ c) / u) >> 2)
+    }.takeWhile(_ < (1L << d)).toSeq
+
+  test("a shared-probability node draws Binomial(d, p) live in-edges, uniformly placed") {
+    // d·p from 1 to 21; (20, 0.9) and (30, 0.7) place up to 30 live in-edges.
+    val cases = Seq((2, 0.5), (10, 0.1), (50, 0.02), (5, 0.5), (8, 0.5), (40, 0.25), (20, 0.9), (30, 0.7))
+    val draws = 40000
+    for ((d, p) <- cases) {
+      val g = inStar(d, p)
+      assert(g.sharedP(0) == p && g.noneLiveIC(0) == math.pow(1 - p, d), s"d = $d, p = $p")
+      val inactive = Array.fill(d + 1)(true)
+      // Vanilla RR-sets rooted at 0: 0 plus the sources of its live in-edges.
+      val masks = (0 until draws).map { i =>
+        val (set, _) = MRRSampler.sampleOne(g, inactive, Array(0), 1, IC, true, 61L + d, i)
+        assert(set(0) == 0 && set.distinct.length == set.length)
+        set.tail.foldLeft(0L)((m, u) => m | 1L << (u - 1))
+      }
+      val live = masks.groupMapReduce(java.lang.Long.bitCount)(_ => 1L)(_ + _)
+      val binomial = new BinomialDistribution(d, p)
+      assertFits(s"L, d = $d, p = $p", (0 to d).map(binomial.probability),
+                 (0 to d).map(live.getOrElse(_, 0L)))
+      // Each l-subset of in-edges is live with chance p^l (1 − p)^(d − l):
+      // one cell per subset where that expects 5 draws, one per l elsewhere.
+      val perMask = masks.groupMapReduce(identity)(_ => 1L)(_ + _)
+      val cells = (0 to d).flatMap { l =>
+        val q = math.pow(p, l) * math.pow(1 - p, d - l)
+        if (q * draws < 5) Seq((binomial.probability(l), live.getOrElse(l, 0L)))
+        else subsetMasks(d, l).map(c => (q, perMask.getOrElse(c, 0L)))
+      }
+      assertFits(s"live in-edge sets, d = $d, p = $p", cells.map(_._1), cells.map(_._2))
+    }
+  }
+
+  /** Under LT, node 0 of `inStar(d, p)` with the sources in `active`
+    * activated: asserts that `draws` vanilla RR-sets rooted at 0 pick each
+    * inactive source with chance p / (1 − p·|active|), and none otherwise,
+    * and returns each set's work.
+    */
+  private def assertLtChoice(d: Int, p: Double, active: Set[Int], draws: Int, seed: Long): Seq[Int] = {
+    val g = inStar(d, p)
+    assert(g.sharedP(0) == p)
+    val inactive = Array.tabulate(d + 1)(u => !active(u))
+    val picked = new Array[Long](d + 1) // picked(0) counts "none"
+    val works = (0 until draws).map { i =>
+      val (set, work) = MRRSampler.sampleOne(g, inactive, Array(0), 1, LT, true, seed, i)
+      assert(set(0) == 0 && set.length <= 2)
+      picked(if (set.length == 2) set(1) else 0) += 1
+      work
+    }
+    active.foreach(u => assert(picked(u) == 0, s"active source $u picked"))
+    val denom = 1 - p * active.size
+    val cells = (0 to d).filterNot(active).map { u =>
+      (if (u == 0) math.max(0.0, 1 - p * d) / denom else p / denom, picked(u))
+    }
+    assertFits(s"LT choice, d = $d, p = $p, ${active.size} active", cells.map(_._1), cells.map(_._2))
+    works
+  }
+
+  test("LT at a shared-probability node with p·d < 1 draws none, fresh and residual") {
+    for ((d, p) <- Seq((4, 0.2), (5, 0.1), (10, 0.05)); active <- Seq(Set.empty[Int], Set(2))) {
+      val works = assertLtChoice(d, p, active, 20000, 71L + d)
+      // Fresh, the first draw is always accepted.
+      if (active.isEmpty) assert(works.forall(_ == 1))
+    }
+  }
+
+  test("LT with most in-sources active falls back to the exact scan") {
+    // 28 of 30 sources active: a draw is rejected with chance 0.84, so
+    // about a quarter of the sets end in the scan, after every rejection.
+    val works = assertLtChoice(30, 0.03, (3 to 30).toSet, 20000, 73L)
+    val scanned = works.count(_ == MRRSampler.LtRejections + 1)
+    assert(scanned > 2000 && scanned < 8000, s"$scanned sets reached the scan")
+  }
+
+  /** `g` restricted to the nodes where `inactive` holds, relabelled in id
+    * order. Under LT each kept edge's probability is divided by 1 − the
+    * in-probability from active sources into its target: the conditional
+    * live-edge draw of a node known to be inactive.
+    */
+  private def residualGraph(g: CompactGraph, inactive: Array[Boolean], model: DiffusionModel): CompactGraph = {
+    val ids = (0 until g.n).filter(inactive(_))
+    val relabel = ids.zipWithIndex.toMap
+    val activeIn = Array.tabulate(g.n)(v => g.inEdgesOf(v).filterNot(e => inactive(g.srcs(e))).map(g.probs).sum)
+    CompactGraph.fromEdges(ids.length, (0 until g.m).collect {
+      case e if inactive(g.srcs(e)) && inactive(g.dsts(e)) =>
+        val p = if (model == LT) math.min(1.0, g.probs(e) / (1 - activeIn(g.dsts(e)))) else g.probs(e)
+        (relabel(g.srcs(e)), relabel(g.dsts(e)), p)
+    })
+  }
+
+  /** Asserts, fresh (η = 2) and with `activated` activated (η_i = 2), that
+    * every residual node's estimate η_i·Λ(v)/θ over 40,000 mRR-sets is within
+    * 4.5 standard errors of the exact E[Γ̃(v)] on the residual graph.
+    */
+  private def assertMatchesExact(name: String, g: CompactGraph, model: DiffusionModel,
+                                 activated: Array[Int], seed: Long): Unit = {
+    for (act <- Seq(Array.empty[Int], activated)) {
+      val state = new ResidualState(g, 2 + act.length)
+      state.activate(act)
+      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
+                                  state.inactiveNodes, state.etaI, model, false, seed)
+      val theta = 40000
+      val cov = Coverage.counts(g.n, ctx.generateLocal(0, theta))
+      val gRes = residualGraph(g, state.inactive, model)
+      state.inactiveNodes.zipWithIndex.foreach { case (v, r) =>
+        val exact = Spread.exactTildeGamma(gRes, Array(r), state.etaI, model)
+        val q = exact / state.etaI
+        val se = state.etaI * math.sqrt(q * (1 - q) / theta)
+        val est = state.etaI.toDouble * cov(v) / theta
+        assert(math.abs(est - exact) <= 4.5 * se + 1e-9,
+               s"$model $name, ${act.length} active: node $v est $est exact $exact (se $se)")
+      }
+    }
+  }
+
+  test("IC coverage matches exact E[Γ̃] on shared, mixed and duplicate in-edges") {
+    // Shared p ≥ 0.5 at d ≥ 4 (nodes 4 and 5), d = 2 (6) and d = 1 (0).
+    val shared = CompactGraph.fromEdges(7, Seq(
+      (0, 4, 0.6), (1, 4, 0.6), (2, 4, 0.6), (3, 4, 0.6), (1, 5, 0.5), (2, 5, 0.5), (3, 5, 0.5),
+      (6, 5, 0.5), (4, 6, 0.7), (5, 6, 0.7), (6, 0, 0.5)))
+    // Per-edge nodes: mixed probabilities (2, 3, 4), shared p = 0 (5), p = 1 (0).
+    val perEdge = CompactGraph.fromEdges(6, Seq(
+      (0, 3, 0.3), (1, 3, 0.8), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 0.4), (4, 5, 0.0), (1, 5, 0.0),
+      (5, 0, 1.0), (3, 2, 0.5), (4, 2, 0.7)))
+    // Duplicate arcs into shared-probability nodes 3, 4 and 1.
+    val duplicates = CompactGraph.fromEdges(5, Seq(
+      (0, 3, 0.6), (0, 3, 0.6), (1, 3, 0.6), (2, 3, 0.6), (3, 4, 0.5), (3, 4, 0.5), (0, 4, 0.5),
+      (4, 1, 0.6), (4, 1, 0.6)))
+    assert(Seq(4, 5, 6, 0).forall(v => !shared.sharedP(v).isNaN))
+    assert((0 until perEdge.n).forall(perEdge.sharedP(_).isNaN))
+    assert(Seq(3, 4, 1).forall(v => !duplicates.sharedP(v).isNaN))
+    assertMatchesExact("shared", shared, IC, Array(2), 81L)
+    assertMatchesExact("per-edge", perEdge, IC, Array(1), 82L)
+    assertMatchesExact("duplicates", duplicates, IC, Array(2), 83L)
+  }
+
+  test("LT coverage matches exact E[Γ̃] on shared, mixed and duplicate in-edges") {
+    // Shared p with p·d = 1 (4, 6) and p·d < 1 (5, 0).
+    val shared = CompactGraph.fromEdges(7, Seq(
+      (0, 4, 0.25), (1, 4, 0.25), (2, 4, 0.25), (3, 4, 0.25), (1, 5, 0.2), (2, 5, 0.2), (3, 5, 0.2),
+      (4, 6, 0.5), (5, 6, 0.5), (6, 0, 0.5)))
+    // Per-edge nodes: mixed probabilities (3), p = 1 (4) and p = 0 (2);
+    // node 1 shares 0.4 over two in-edges.
+    val perEdge = CompactGraph.fromEdges(5, Seq(
+      (0, 3, 0.3), (1, 3, 0.5), (2, 3, 0.2), (3, 4, 1.0), (0, 1, 0.4), (4, 1, 0.4), (1, 2, 0.0)))
+    val duplicates = CompactGraph.fromEdges(5, Seq(
+      (0, 3, 0.25), (0, 3, 0.25), (1, 3, 0.25), (2, 3, 0.25), (3, 4, 0.3), (3, 4, 0.3), (1, 4, 0.3),
+      (4, 0, 0.5)))
+    assertMatchesExact("shared", shared, LT, Array(2), 84L)
+    assertMatchesExact("per-edge", perEdge, LT, Array(0), 85L)
+    assertMatchesExact("duplicates", duplicates, LT, Array(1), 86L)
   }
 }

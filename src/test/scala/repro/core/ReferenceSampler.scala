@@ -6,13 +6,14 @@ import repro.diffusion.DiffusionModel
 import repro.graph.CompactGraph
 import repro.util.Rng
 
-/** The mRR sampler as it was before roots were drawn by Floyd's algorithm,
+/** The mRR sampler as it was before roots were drawn by Floyd's algorithm
+  * and before the reverse BFS did constant work at shared-probability nodes,
   * kept as a reference that a changed sampler is compared with in
   * distribution (`SamplerEquivalence`). Roots: rejection while 4k < n_i, a
   * partial Fisher–Yates shuffle of `inactiveNodes` otherwise. Then the
-  * reverse BFS that examines every in-edge of every visited node. It makes
-  * the same draws as that sampler, so its sets and work are byte-identical
-  * to it; with k = 1 both root draws are one `nextInt(n_i)`, as Floyd's is.
+  * reverse BFS that examines every in-edge of every visited node, whose
+  * work is the number of edges examined. It makes the same draws as that
+  * sampler, so its sets and work are byte-identical to it.
   */
 object ReferenceSampler {
 

@@ -34,7 +34,8 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("ltChosen returns a valid in-edge or -1") {
-    val g = GraphGen.fig2
+    // Figure 2's shape with LT-valid probabilities: v4's in-edges sum to 0.9.
+    val g = CompactGraph.fromEdges(4, Seq((0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (2, 3, 0.4)))
     (0 until 50).foreach { s =>
       val r = new Realization(g, DiffusionModel.LT, s.toLong)
       (0 until g.n).foreach { v =>

@@ -92,8 +92,11 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
     val rnd = new scala.util.Random(23)
     (0 until 40).foreach { trial =>
       val n = 2 + rnd.nextInt(60)
-      val edges = Seq.fill(rnd.nextInt(4 * n))((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble()))
-        .filter { case (u, v, _) => u != v }.distinctBy { case (u, v, _) => (u, v) }
+      val arcs = Seq.fill(rnd.nextInt(4 * n))((rnd.nextInt(n), rnd.nextInt(n)))
+        .filter { case (u, v) => u != v }.distinct
+      // Each node's in-probabilities sum to at most 1, so LT runs on them too.
+      val indeg = arcs.groupMapReduce(_._2)(_ => 1)(_ + _)
+      val edges = arcs.map { case (u, v) => (u, v, rnd.nextDouble() / indeg(v)) }
       val (a, b) = (rnd.shuffle(edges), rnd.shuffle(edges))
       val pairs = Seq(
         CompactGraph.fromEdges(n, a) -> CompactGraph.fromEdges(n, b),
@@ -113,6 +116,20 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
         }
       }
     }
+  }
+
+  test("sharedP marks the nodes whose in-edges share one probability in (0, 1)") {
+    val wc = CompactGraph.weightedCascade(5, Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
+    assert(wc.sharedP(2) == 0.5 && wc.noneLiveIC(2) == 0.25)
+    assert(wc.sharedP(3) == 1.0 / 3 && wc.noneLiveIC(3) == math.pow(1 - 1.0 / 3, 3))
+    // No in-edges (0, 4), and a single in-edge of probability 1 (1).
+    assert(Seq(0, 1, 4).forall(v => wc.sharedP(v).isNaN && wc.noneLiveIC(v).isNaN))
+    val mixed = CompactGraph.fromEdges(3, Seq((0, 2, 0.5), (1, 2, 0.4), (0, 1, 0.0)))
+    assert(mixed.sharedP(2).isNaN && mixed.sharedP(1).isNaN)
+    // 2^-1000 is a normal double; 2^-1100 is not.
+    val star = (d: Int) => CompactGraph.fromEdges(d + 1, (1 to d).map(u => (u, 0, 0.5)))
+    assert(star(1000).sharedP(0) == 0.5 && star(1000).noneLiveIC(0) == math.pow(0.5, 1000))
+    assert(star(1100).sharedP(0).isNaN)
   }
 
   test("edgesDF round-trips the edge list") {
