@@ -1,0 +1,80 @@
+package repro.bench
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.core.{MRRSamplerCtx, ResidualState}
+import repro.diffusion.{DiffusionModel, Realization}
+import repro.graph.{CompactGraph, GraphGen}
+
+import java.util.concurrent.ForkJoinPool
+
+/** Sampler layer on nethept: sets per second and nanoseconds per visited
+  * node of the driver sampler, on one worker and on all cores.
+  *
+  * Cells cover IC and LT, mRR-sets at η_i = n_i/10 and vanilla RR-sets, on
+  * the fresh graph and on a residual one where cascades activated 5% of the
+  * nodes. Each cell is timed through both of the context's paths: `sets`
+  * draws a pool with `generateLocal`, `counts` counts the same sets with
+  * `countTo` and keeps none. One worker means the sampler's parallel stream
+  * runs inside a one-thread fork-join pool. Each figure is the median of
+  * `Reps` timed passes after two untimed ones.
+  */
+class SamplerBench extends AnyFunSuite with SparkSpec {
+
+  import DiffusionModel.{IC, LT}
+
+  private val Reps = 7
+
+  /** The fresh mask and one where cascades from random seeds activated 5%. */
+  private def masks(g: CompactGraph, model: DiffusionModel): Seq[(String, ResidualState)] = {
+    val residual = new ResidualState(g, 1)
+    val rnd = new scala.util.Random(47)
+    var r = 0L
+    while (residual.nActive < g.n / 20) {
+      val real = new Realization(g, model, r)
+      residual.activate(real.forwardReachable(Array(rnd.nextInt(g.n)), residual.inactive))
+      r += 1
+    }
+    Seq("fresh" -> new ResidualState(g, 1), "5% active" -> residual)
+  }
+
+  /** Median seconds of `f` over `Reps` passes, after two untimed ones. */
+  private def median(f: () => Unit): Double = {
+    f(); f()
+    val times = (1 to Reps).map { _ =>
+      val t0 = System.nanoTime(); f(); (System.nanoTime() - t0) / 1e9
+    }
+    times.sorted.apply(Reps / 2)
+  }
+
+  test("sampler throughput on nethept (IC and LT, mRR and vanilla, fresh and residual)") {
+    val g = GraphGen.dataset(spark, "nethept", scale = 1.0)
+    val bg = spark.sparkContext.broadcast(g)
+    val one = new ForkJoinPool(1)
+    val cores = Runtime.getRuntime.availableProcessors()
+    println(f"\n=== Sampler throughput: nethept, n = ${g.n}, m = ${g.m}, $cores cores, " +
+            f"IC tables ${g.icCdf.length} doubles ===")
+    println(f"${"cell"}%-30s ${"path"}%-6s ${"sets"}%8s ${"nodes/set"}%9s " +
+            f"${"1-core sets/s"}%13s ${"ns/node"}%8s ${"all sets/s"}%11s ${"ns/node"}%8s ${"speed-up"}%8s")
+    for (model <- Seq(IC, LT); (mask, state) <- masks(g, model); vanilla <- Seq(false, true)) {
+      val count = if (vanilla) 200000 else 20000
+      def ctx() = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
+                                    math.max(1, state.nI / 10), model, vanilla, 5L)
+      val nodes = ctx().generateLocal(0, count).iterator.map(_.length.toLong).sum
+      val counted = { val c = ctx(); c.countTo(count); c.counts.iterator.map(_.toLong).sum }
+      assert(counted == nodes, s"$model $mask: counted $counted nodes, the pool holds $nodes")
+      val cell = s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}"
+      val paths = Seq[(String, () => Unit)](
+        "sets" -> (() => ctx().generateLocal(0, count)),
+        "counts" -> (() => ctx().countTo(count)))
+      for ((path, f) <- paths) {
+        val single = median(() => one.submit(new Runnable { def run(): Unit = f() }).get())
+        val all = median(f)
+        println(f"$cell%-30s $path%-6s $count%8d ${nodes.toDouble / count}%9.1f " +
+                f"${count / single}%13.0f ${single * 1e9 / nodes}%8.1f " +
+                f"${count / all}%11.0f ${all * 1e9 / nodes}%8.1f ${single / all}%8.2f")
+      }
+    }
+    one.shutdown()
+  }
+}

@@ -7,7 +7,7 @@ import repro.graph.CompactGraph
 import repro.util.Rng
 
 /** Per-round seed selection policy plugged into the ASTI loop. */
-sealed trait Selector {
+trait Selector {
   def name: String
 
   /** Whether the sampler should draw vanilla single-root RR-sets (AdaptIM)
@@ -97,7 +97,11 @@ object Asti {
       // still-inactive nodes under φ (Lines 4–6 of Algorithm 1).
       val activated = real.forwardReachable(sel.seeds, state.inactive)
       seeds ++= sel.seeds
-      state.activate(activated)
+      // A round that activates nothing leaves the residual state, and so
+      // every later round, unchanged: fail instead of looping.
+      require(state.activate(activated) > 0,
+        s"round $rounds: selector ${selector.name} activated no node " +
+        s"(seeds ${sel.seeds.mkString(", ")} were active already)")
       samples += sel.samples
       work += sel.work
     }

@@ -1,24 +1,20 @@
 package repro.core
 
 /** Coverage bookkeeping over a collection of (m)RR-sets: Λ_R(v) is the number
-  * of sets containing v (§3.4). Counting runs on the driver, over the sample
-  * pool, which counts each set once as it is drawn (`MRRSamplerCtx.counts`).
+  * of sets containing v (§3.4). The sampler's workers count each set as they
+  * draw it (`MRRSamplerCtx.counts`); `counts` recounts a given collection.
   */
 object Coverage {
 
   /** Λ_R(v) for all v as a dense array. */
   def counts(n: Int, sets: Iterable[Array[Int]]): Array[Int] = {
     val c = new Array[Int](n)
-    addCounts(c, sets)
-    c
-  }
-
-  /** Add the membership of `sets` to the counts `c`. */
-  def addCounts(c: Array[Int], sets: Iterable[Array[Int]]): Unit =
     sets.foreach { set =>
       var i = 0
       while (i < set.length) { c(set(i)) += 1; i += 1 }
     }
+    c
+  }
 
   /** Eligible node with maximum coverage (ties → smallest id) and its count.
     * Pass null to consider every node.

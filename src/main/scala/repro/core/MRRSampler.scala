@@ -24,11 +24,12 @@ import scala.collection.immutable.ArraySeq
   * (every node with two or more in-edges under weighted cascade), and one
   * step per in-edge elsewhere.
   *
-  * Each set is a pure function of `(seedBase, sampleIndex)`. The pool is
-  * filled on the driver by one worker per core, each claiming blocks of the
-  * index range from a shared cursor (`MRRSamplerCtx.generateLocal`); the RDD
-  * fan-out (`generateSpark`) runs the same kernel and is kept as the
-  * reference the two are tested byte-identical against.
+  * Each set is a pure function of `(seedBase, sampleIndex)`. Sets are drawn
+  * and counted on the driver by one worker per core, each claiming blocks of
+  * the index range from a shared cursor (`MRRSamplerCtx.growTo`, `countTo`
+  * and `generateLocal`); the RDD fan-out (`generateSpark`) runs the same
+  * kernel and is kept as the reference the two are tested byte-identical
+  * against.
   */
 object MRRSampler {
 
@@ -59,8 +60,8 @@ object MRRSampler {
     (s.result(), work)
   }
 
-  /** Draw set `idx` into `s` (read it with `s.result()`) and return the
-    * number of random draws its reverse BFS made.
+  /** Draw set `idx` into `s` (read it with `s.result()` or `s.countInto`)
+    * and return the number of random draws its reverse BFS made.
     */
   private[core] def sampleInto(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                                inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel,
@@ -94,20 +95,17 @@ object MRRSampler {
   /** IC reverse BFS: each in-edge from an inactive source is live
     * independently. At a node whose d in-edges share one probability p
     * (`CompactGraph.sharedP`), the number of live in-edges L ~ Binomial(d, p)
-    * is drawn by sequential inversion from P(L = 0) = (1 − p)^d, then L
-    * distinct in-edges uniformly by Floyd's algorithm. A live edge whose
-    * source is active or visited adds nothing, which is exact because edge
-    * liveness is independent of activity. At other nodes one coin is flipped
-    * per in-edge from an unvisited inactive source.
+    * is drawn by sequential inversion, scanning the node's table
+    * `CompactGraph.icCdf` of P(L ≤ l), then L distinct in-edges uniformly by
+    * Floyd's algorithm. A live edge whose source is active or visited adds
+    * nothing, which is exact because edge liveness is independent of
+    * activity. At other nodes one coin is flipped per in-edge from an
+    * unvisited inactive source.
     */
   private def reverseIC(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
-    val (inOff, inEdge, srcs, probs) = (g.inOff, g.inEdge, g.srcs, g.probs)
-    val (sharedP, noneLive) = (g.sharedP, g.noneLiveIC)
-    def visit(i: Int): Unit = {
-      val u = srcs(inEdge(i))
-      if (inactive(u) && !s.contains(u)) s.add(u)
-    }
+    val (inOff, inEdge, inSrc, probs) = (g.inOff, g.inEdge, g.inSrc, g.probs)
+    val (cdfOff, cdf) = (g.icCdfOff, g.icCdf)
     var picks: Array[Int] = null // Floyd's positions at the current node
     var draws = 0
     var head = 0
@@ -116,18 +114,11 @@ object MRRSampler {
       head += 1
       val from = inOff(v)
       val d = inOff(v + 1) - from
-      val p = sharedP(v)
-      if (p == p) {
+      val off = cdfOff(v)
+      if (off >= 0) {
         val x = rng.nextDouble()
-        val odds = p / (1 - p)
-        var pmf = noneLive(v)
-        var cdf = pmf
         var live = 0
-        while (x >= cdf && live < d) {
-          pmf *= odds * (d - live) / (live + 1)
-          live += 1
-          cdf += pmf
-        }
+        while (live < d && x >= cdf(off + live)) live += 1
         draws += 1
         // Floyd's algorithm over positions [0, d), as in `addRoots`.
         if (live > 1 && (picks == null || picks.length < live)) picks = new Array[Int](live)
@@ -139,18 +130,18 @@ object MRRSampler {
           while (c < j - first && picks(c) != t) c += 1
           if (c < j - first) t = j
           if (live > 1) picks(j - first) = t
-          visit(from + t)
+          val u = inSrc(from + t)
+          if (inactive(u) && !s.contains(u)) s.add(u)
           j += 1
         }
         draws += live
       } else {
         var i = from
         while (i < from + d) {
-          val e = inEdge(i)
-          val u = srcs(e)
+          val u = inSrc(i)
           if (inactive(u) && !s.contains(u)) {
             draws += 1
-            if (rng.nextDouble() < probs(e)) s.add(u)
+            if (rng.nextDouble() < probs(inEdge(i))) s.add(u)
           }
           i += 1
         }
@@ -170,7 +161,7 @@ object MRRSampler {
     */
   private def reverseLT(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
                         rng: Rng.Stream): Int = {
-    val (inOff, inEdge, srcs, probs, sharedP) = (g.inOff, g.inEdge, g.srcs, g.probs, g.sharedP)
+    val (inOff, inEdge, inSrc, probs, sharedP) = (g.inOff, g.inEdge, g.inSrc, g.probs, g.sharedP)
     val Undrawn = -2
     var draws = 0
     var head = 0
@@ -190,7 +181,7 @@ object MRRSampler {
           tries += 1
           if (x >= live) chosen = -1
           else {
-            val u = srcs(inEdge(from + math.min((x / p).toInt, d - 1)))
+            val u = inSrc(from + math.min((x / p).toInt, d - 1))
             if (inactive(u)) chosen = u
           }
         }
@@ -201,9 +192,9 @@ object MRRSampler {
         var sumInactive = 0.0
         var i = from
         while (i < end) {
-          val e = inEdge(i)
-          sumAll += probs(e)
-          if (inactive(srcs(e))) sumInactive += probs(e)
+          val q = probs(inEdge(i))
+          sumAll += q
+          if (inactive(inSrc(i))) sumInactive += q
           i += 1
         }
         val denom = sumInactive + math.max(0.0, 1.0 - sumAll)
@@ -213,10 +204,10 @@ object MRRSampler {
           var acc = 0.0
           i = from
           while (chosen < 0 && i < end) {
-            val e = inEdge(i)
-            if (inactive(srcs(e))) {
-              acc += probs(e)
-              if (draw < acc) chosen = srcs(e)
+            val u = inSrc(i)
+            if (inactive(u)) {
+              acc += probs(inEdge(i))
+              if (draw < acc) chosen = u
             }
             i += 1
           }
@@ -230,9 +221,15 @@ object MRRSampler {
 
 /** Per-round sampling context and sample pool: fixes the residual mask,
   * target and model so repeated doubling rounds share one broadcast, and
-  * holds the sets drawn so far, set i being stream index i, with their
+  * counts the sets drawn so far, set i being stream index i, into their
   * coverage counts Λ(v). Tracks cumulative work for the efficiency
   * instrumentation.
+  *
+  * A context grows in one of two ways, fixed by its consumer: `growTo` keeps
+  * every set (TRIM-B's greedy and ATEUC read them), `countTo` keeps only the
+  * counts (TRIM and AdaptIM pick the argmax). Either way each sampler worker
+  * counts the sets it draws into its own n-sized array, merged into `counts`
+  * when the call ends.
   */
 final class MRRSamplerCtx(
     spark: SparkSession,
@@ -245,57 +242,94 @@ final class MRRSamplerCtx(
     val seedBase: Long
 ) {
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+  private var countOnly = false
+  private var drawn = 0
   private val coverage = new Array[Int](inactive.length)
   if (model == DiffusionModel.LT) bg.value.requireLT()
 
   /** Random draws made by the reverse BFS of every set drawn by this context
-    * (`sampleOne`'s work), summed over all `generateLocal` and
-    * `generateSpark` calls.
+    * (`sampleOne`'s work), summed over all `growTo`, `countTo`,
+    * `generateLocal` and `generateSpark` calls.
     */
   var totalWork: Long = 0L
 
   def nI: Int = inactiveNodes.length
 
-  /** The sets drawn so far, in stream order. */
-  def sets: scala.collection.IndexedSeq[Array[Int]] = pool
+  /** The sets drawn so far, in stream order; only for a context grown by
+    * `growTo`.
+    */
+  def sets: scala.collection.IndexedSeq[Array[Int]] = {
+    require(!countOnly, "this context was grown by countTo, which keeps no sets; use growTo")
+    pool
+  }
 
-  /** Λ(v) over `sets`, indexed by node id, kept up to date by `growTo`.
-    * Shared, not copied: callers must not modify it.
+  /** Λ(v) over the sets drawn so far, indexed by node id, kept up to date by
+    * `growTo` and `countTo`. Shared, not copied: callers must not modify it.
     */
   def counts: Array[Int] = coverage
 
   /** Number of sets drawn so far. */
-  def totalSamples: Long = pool.length
+  def totalSamples: Long = drawn
 
   /** Draw stream indices [totalSamples, size) into the pool and count them
     * into `counts`; no-op if the pool already holds `size` sets.
     */
   def growTo(size: Long): Unit = {
-    require(size <= Int.MaxValue, s"sample pool of $size sets exceeds Int range")
-    val count = size.toInt - pool.length
+    require(!countOnly, "growTo on a context grown by countTo, which kept no sets")
+    val count = newSets(size)
     if (count > 0) {
-      val fresh = generateLocal(pool.length, count)
-      Coverage.addCounts(coverage, fresh)
+      val fresh = new Array[Array[Int]](count)
+      draw(drawn, count, fresh, coverage)
       pool ++= fresh
+      drawn += count
     }
   }
 
-  /** Sets `[from, from + count)` on the driver. Up to one worker per core,
-    * on the common fork-join pool with a `NodeQueue` each, claims blocks of
-    * indices from a shared cursor until the range is used up, so uneven set
-    * sizes and late-starting workers balance out. Set i lands in slot
-    * i - from and the workers' work is summed, so the output does not depend
-    * on the schedule.
+  /** Count stream indices [totalSamples, size) into `counts` without keeping
+    * the sets; no-op if `size` sets were drawn already. `sets` then fails.
+    */
+  def countTo(size: Long): Unit = {
+    require(pool.isEmpty, "countTo on a context grown by growTo, whose pool would miss sets")
+    countOnly = true
+    val count = newSets(size)
+    if (count > 0) {
+      draw(drawn, count, null, coverage)
+      drawn += count
+    }
+  }
+
+  private def newSets(size: Long): Int = {
+    require(size <= Int.MaxValue, s"sample pool of $size sets exceeds Int range")
+    size.toInt - drawn
+  }
+
+  /** Sets `[from, from + count)` on the driver, drawn as `growTo` draws
+    * them but outside the pool: `counts` and `totalSamples` stay as they are.
     */
   def generateLocal(from: Long, count: Int): IndexedSeq[Array[Int]] = {
-    val g = bg.value
     val out = new Array[Array[Int]](count)
+    draw(from, count, out, null)
+    ArraySeq.unsafeWrapArray(out)
+  }
+
+  /** Draw sets `[from, from + count)` on the driver, set i into
+    * `out(i - from)` unless `out` is null, and count them into `cover`
+    * unless it is null. Up to one worker per core, on the common fork-join
+    * pool with a `NodeQueue` and its own count array each, claims blocks of
+    * indices from a shared cursor until the range is used up, so uneven set
+    * sizes and late-starting workers balance out. Each worker adds its
+    * counts to `cover` when it runs out of blocks, and the workers' work is
+    * summed, so the output does not depend on the schedule.
+    */
+  private def draw(from: Long, count: Int, out: Array[Array[Int]], cover: Array[Int]): Unit = {
+    val g = bg.value
     val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors(),
                                        count / MRRSampler.MinBlock))
     val block = math.max(MRRSampler.MinBlock, count / (8 * workers))
     val nextBlock = new AtomicInteger(0)
     def worker(): Long = {
       val s = new NodeQueue(g.n)
+      val local = if (cover == null) null else new Array[Int](g.n)
       var work = 0L
       var i = nextBlock.getAndIncrement().toLong * block
       while (i < count) {
@@ -303,15 +337,19 @@ final class MRRSamplerCtx(
         while (i < end) {
           work += MRRSampler.sampleInto(
             s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
-          out(i.toInt) = s.result()
+          if (out != null) out(i.toInt) = s.result()
+          if (local != null) s.countInto(local)
           i += 1
         }
         i = nextBlock.getAndIncrement().toLong * block
       }
+      if (local != null) cover.synchronized {
+        var v = 0
+        while (v < local.length) { cover(v) += local(v); v += 1 }
+      }
       work
     }
     totalWork += java.util.stream.IntStream.range(0, workers).parallel().mapToLong(_ => worker()).sum()
-    ArraySeq.unsafeWrapArray(out)
   }
 
   /** RDD fan-out: every task pulls the broadcast graph and generates its

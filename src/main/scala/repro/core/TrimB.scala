@@ -34,13 +34,17 @@ object TrimB {
     val rhoB = rho(bEff)
     val target = if (ctx.vanillaRoots) nI else ctx.etaI
     val sch = Trim.schedule(nI, target, eps, lnChoose(nI, bEff), rhoB, bEff)
-    ctx.growTo(math.ceil(sch.thetaO).toLong)
+    // At b = 1 greedy is the argmax of the counts, so no set is kept.
+    def grow(size: Long): Unit = if (bEff == 1) ctx.countTo(size) else ctx.growTo(size)
+    grow(math.ceil(sch.thetaO).toLong)
 
     var t = 1
     while (true) {
       // The pool's counts span the dense node-id space; active nodes never
       // appear in a residual mRR-set, so their coverage stays 0.
-      val (batch, covered) = Coverage.greedyCover(ctx.counts, ctx.sets, bEff)
+      val (batch, covered) =
+        if (bEff == 1) { val (v, c) = Coverage.topNode(ctx.counts); (Array(v), c) }
+        else Coverage.greedyCover(ctx.counts, ctx.sets, bEff)
       val lamL = Trim.lamLower(covered, sch.a1)
       val lamU = Trim.lamUpper(covered / rhoB, sch.a2)
       if ((lamU > 0 && lamL / lamU >= rhoB * (1.0 - sch.epsHat)) || t == sch.T) {
@@ -48,7 +52,7 @@ object TrimB {
         return SelectResult(batch, est, ctx.totalSamples, ctx.totalWork, t)
       }
       t += 1
-      ctx.growTo(math.min(ctx.totalSamples * 2, math.ceil(sch.thetaMax).toLong))
+      grow(math.min(ctx.totalSamples * 2, math.ceil(sch.thetaMax).toLong))
     }
     throw new IllegalStateException("unreachable")
   }

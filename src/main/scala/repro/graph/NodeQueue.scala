@@ -3,8 +3,8 @@ package repro.graph
 /** A reusable BFS frontier over nodes `0 until n`: an epoch-stamped visited
   * set plus the visited nodes in visit order, which is also the BFS queue.
   * The reverse mRR sampler keeps one per worker, so that drawing a set
-  * allocates only its output array; the forward observation BFS uses one per
-  * call. Not thread-safe.
+  * allocates at most its output array; the forward observation BFS uses one
+  * per call. Not thread-safe.
   */
 private[repro] final class NodeQueue(n: Int) {
   /** `mark(v) == epoch` iff v is in the current set; an epoch bump clears
@@ -34,6 +34,12 @@ private[repro] final class NodeQueue(n: Int) {
   }
 
   @inline def apply(i: Int): Int = buf(i)
+
+  /** Add one to `counts(v)` for every v in the current set. */
+  def countInto(counts: Array[Int]): Unit = {
+    var i = 0
+    while (i < size) { counts(buf(i)) += 1; i += 1 }
+  }
 
   /** The current set, copied out. */
   def result(): Array[Int] = java.util.Arrays.copyOf(buf, size)

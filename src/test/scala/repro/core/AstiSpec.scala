@@ -1,13 +1,37 @@
 package repro.core
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.{CompactGraph, GraphGen}
 
-class AstiSpec extends AnyFunSuite with SparkSpec {
+class AstiSpec extends AnyFunSuite with SparkSpec with TimeLimits {
 
   import DiffusionModel.{IC, LT}
+
+  test("a round that activates no node fails, naming the round and the selector") {
+    // Picks node 0 every round. It activates only itself (no edges), so
+    // round 2 activates nothing and would leave the residual state, and
+    // every later round, unchanged. The call cap ends a run that loops.
+    implicit val signaler: Signaler = ThreadSignaler
+    var calls = 0
+    val stuck = new Selector {
+      val name = "STUCK"
+      def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = {
+        calls += 1
+        if (calls > 50) throw new IllegalStateException(s"still selecting after $calls rounds")
+        SelectResult(Array(0), 1.0, 0L, 0L, 1)
+      }
+    }
+    val e = failAfter(Span(30, Seconds)) {
+      intercept[IllegalArgumentException](
+        Asti.run(spark, CompactGraph.fromEdges(5, Seq.empty), 3, 0.5, stuck, IC, 1L))
+    }
+    assert(e.getMessage.contains("round 2") && e.getMessage.contains("STUCK"), e.getMessage)
+    assert(calls == 2)
+  }
 
   test("one seed suffices on a deterministic chain") {
     val g = GraphGen.line(10, 1.0)

@@ -211,6 +211,14 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val sel = TrimB.select(trimCtx, 0.5, 4)
     assert(sel.seeds.length == 4)
     assert(trimCtx.counts.toSeq == Coverage.counts(nethept.n, trimCtx.sets).toSeq)
+    // At b = 1 the context only counts: its counts are those of the pool
+    // it did not keep, and its seed is their argmax.
+    val (_, countCtx) = inputs.head
+    val one = TrimB.select(countCtx, 0.5, 1)
+    val pool = inputs.head._2.generateLocal(0, one.samples.toInt)
+    assert(countCtx.counts.toSeq == Coverage.counts(nethept.n, pool).toSeq)
+    assert(one.seeds.toSeq == Seq(Coverage.topNode(countCtx.counts)._1))
+    intercept[IllegalArgumentException](countCtx.sets)
 
     val state = new ResidualState(nethept, nethept.n / 10)
     val ateucCtx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept),
@@ -218,6 +226,33 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val res = repro.baselines.Ateuc.select(ateucCtx)
     assert(res.iterations > 1 && res.numSeeds > 1)
     assert(ateucCtx.counts.toSeq == Coverage.counts(nethept.n, ateucCtx.sets).toSeq)
+  }
+
+  test("countTo counts, samples and work equal those of generateLocal over the same range") {
+    inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
+      Seq(1L, 143L, 286L, 5003L).foreach { size =>
+        ctx.countTo(size)
+        val before = direct.totalWork
+        val pool = direct.generateLocal(0, size.toInt)
+        assert(ctx.counts.toSeq == Coverage.counts(nethept.n, pool).toSeq, s"$name at $size")
+        assert(ctx.totalSamples == size, s"$name at $size")
+        assert(ctx.totalWork == direct.totalWork - before, s"$name at $size")
+        direct.totalWork = before
+      }
+    }
+  }
+
+  test("a context grown by countTo keeps no sets, and says so") {
+    val (_, ctx) = inputs.head
+    ctx.countTo(10)
+    ctx.countTo(5) // never shrinks
+    assert(ctx.totalSamples == 10)
+    val e = intercept[IllegalArgumentException](ctx.sets)
+    assert(e.getMessage.contains("countTo") && e.getMessage.contains("keeps no sets"), e.getMessage)
+    intercept[IllegalArgumentException](ctx.growTo(20))
+    val (_, kept) = inputs.head
+    kept.growTo(10)
+    intercept[IllegalArgumentException](kept.countTo(20))
   }
 
   test("a NodeQueue across its epoch wrap gives the same sets") {
@@ -389,6 +424,31 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     Seq("fresh" -> fresh, s"${residual.nActive} active" -> residual)
   }
 
+  /** 3,000 sets of each (model, mask, root mode) cell of `nethept`, in stream
+    * order, folded into one hash, and the cell's work.
+    */
+  private def poolDigests: Seq[(String, Long, Long)] =
+    for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
+    yield {
+      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+                                  state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
+      val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
+        h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
+      (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
+    }
+
+  test("pools and work reproduce pinned digests (IC and LT, mRR and vanilla, fresh and residual)") {
+    // Pinned from the sampler before the count-only pool and the lean
+    // kernel; any change to a draw, a set or its order changes them.
+    val pinned = Seq(
+      (-4534229533233864194L, 188847L), (780002585633663382L, 21065L),
+      (4517318034212577868L, 182624L), (-4416147105923410451L, 19807L),
+      (-7346577873828522622L, 108074L), (5548844041100051575L, 11660L),
+      (3540560087139055769L, 109329L), (-6215431441632818427L, 11822L))
+    val actual = poolDigests
+    assert(actual.map(a => (a._2, a._3)) == pinned, actual.mkString("\n"))
+  }
+
   test("vanilla RR-sets match the reference sampler's in distribution") {
     // IC and LT, fresh and residual; independent streams on the two sides.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model)) {
@@ -460,7 +520,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val draws = 40000
     for ((d, p) <- cases) {
       val g = inStar(d, p)
-      assert(g.sharedP(0) == p && g.noneLiveIC(0) == math.pow(1 - p, d), s"d = $d, p = $p")
+      assert(g.sharedP(0) == p && g.icCdf(g.icCdfOff(0)) == math.pow(1 - p, d), s"d = $d, p = $p")
       val inactive = Array.fill(d + 1)(true)
       // Vanilla RR-sets rooted at 0: 0 plus the sources of its live in-edges.
       val masks = (0 until draws).map { i =>

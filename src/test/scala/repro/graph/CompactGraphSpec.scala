@@ -120,16 +120,50 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
 
   test("sharedP marks the nodes whose in-edges share one probability in (0, 1)") {
     val wc = CompactGraph.weightedCascade(5, Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
-    assert(wc.sharedP(2) == 0.5 && wc.noneLiveIC(2) == 0.25)
-    assert(wc.sharedP(3) == 1.0 / 3 && wc.noneLiveIC(3) == math.pow(1 - 1.0 / 3, 3))
+    // A table starts at P(L = 0) = (1 − p)^d.
+    assert(wc.sharedP(2) == 0.5 && wc.icCdf(wc.icCdfOff(2)) == 0.25)
+    assert(wc.sharedP(3) == 1.0 / 3 && wc.icCdf(wc.icCdfOff(3)) == math.pow(1 - 1.0 / 3, 3))
     // No in-edges (0, 4), and a single in-edge of probability 1 (1).
-    assert(Seq(0, 1, 4).forall(v => wc.sharedP(v).isNaN && wc.noneLiveIC(v).isNaN))
+    assert(Seq(0, 1, 4).forall(v => wc.sharedP(v).isNaN && wc.icCdfOff(v) == -1))
     val mixed = CompactGraph.fromEdges(3, Seq((0, 2, 0.5), (1, 2, 0.4), (0, 1, 0.0)))
     assert(mixed.sharedP(2).isNaN && mixed.sharedP(1).isNaN)
     // 2^-1000 is a normal double; 2^-1100 is not.
     val star = (d: Int) => CompactGraph.fromEdges(d + 1, (1 to d).map(u => (u, 0, 0.5)))
-    assert(star(1000).sharedP(0) == 0.5 && star(1000).noneLiveIC(0) == math.pow(0.5, 1000))
+    assert(star(1000).sharedP(0) == 0.5 && star(1000).icCdf(star(1000).icCdfOff(0)) == math.pow(0.5, 1000))
     assert(star(1100).sharedP(0).isNaN)
+  }
+
+  test("icCdf holds each node's Binomial(d, p) CDF as sequential inversion sums it, shared at equal (d, p)") {
+    // Nodes 4 and 5 share (3, 0.5), node 6 has (3, 0.3), node 7 (2, 0.5).
+    val g = CompactGraph.fromEdges(8, Seq(
+      (0, 4, 0.5), (1, 4, 0.5), (2, 4, 0.5), (1, 5, 0.5), (2, 5, 0.5), (3, 5, 0.5),
+      (0, 6, 0.3), (1, 6, 0.3), (2, 6, 0.3), (0, 7, 0.5), (3, 7, 0.5)))
+    assert(g.icCdfOff(4) == g.icCdfOff(5))
+    assert(Set(4, 6, 7).map(g.icCdfOff).size == 3 && g.icCdf.length == 3 + 3 + 2)
+    assert((0 until 4).forall(g.icCdfOff(_) == -1))
+    for (v <- 4 to 7) {
+      val (d, p) = (g.inDeg(v), g.sharedP(v))
+      // The loop that walked the CDF at every draw, step by step.
+      val odds = p / (1 - p)
+      var pmf = math.pow(1 - p, d)
+      var cdf = pmf
+      val binomial = new org.apache.commons.math3.distribution.BinomialDistribution(d, p)
+      for (l <- 0 until d) {
+        assert(g.icCdf(g.icCdfOff(v) + l) == cdf, s"node $v, l = $l")
+        assert(math.abs(cdf - binomial.cumulativeProbability(l)) < 1e-12, s"node $v, l = $l")
+        pmf *= odds * (d - l) / (l + 1)
+        cdf += pmf
+      }
+    }
+  }
+
+  test("the constructor rejects probabilities outside [0, 1], naming the edge") {
+    for (p <- Seq(1.5, -0.1, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](new CompactGraph(
+        3, Array(0, 1), Array(2, 2), Array(0.5, p), Array(0, 1, 2, 2), Array(0, 0, 0, 2), Array(0, 1)))
+      assert(e.getMessage.contains("edge 1 (1 -> 2)") && e.getMessage.contains(p.toString), e.getMessage)
+    }
+    new CompactGraph(3, Array(0, 1), Array(2, 2), Array(0.0, 1.0), Array(0, 1, 2, 2), Array(0, 0, 0, 2), Array(0, 1))
   }
 
   test("edgesDF round-trips the edge list") {
