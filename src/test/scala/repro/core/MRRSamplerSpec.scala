@@ -237,7 +237,6 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
         assert(ctx.counts.toSeq == Coverage.counts(nethept.n, pool).toSeq, s"$name at $size")
         assert(ctx.totalSamples == size, s"$name at $size")
         assert(ctx.totalWork == direct.totalWork - before, s"$name at $size")
-        direct.totalWork = before
       }
     }
   }
@@ -424,28 +423,24 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     Seq("fresh" -> fresh, s"${residual.nActive} active" -> residual)
   }
 
-  /** 3,000 sets of each (model, mask, root mode) cell of `nethept`, in stream
-    * order, folded into one hash, and the cell's work.
-    */
-  private def poolDigests: Seq[(String, Long, Long)] =
-    for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
-    yield {
-      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
-                                  state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
-      val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
-        h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
-      (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
-    }
-
   test("pools and work reproduce pinned digests (IC and LT, mRR and vanilla, fresh and residual)") {
-    // Pinned from the sampler before the count-only pool and the lean
-    // kernel; any change to a draw, a set or its order changes them.
+    // 3,000 sets per cell, in stream order, folded into one hash, with the
+    // cell's work. Pinned before the count-only pool and the CDF tables,
+    // which must not change a draw, a set or its order.
+    val actual =
+      for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
+      yield {
+        val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+                                    state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
+        val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
+          h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
+        (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
+      }
     val pinned = Seq(
       (-4534229533233864194L, 188847L), (780002585633663382L, 21065L),
       (4517318034212577868L, 182624L), (-4416147105923410451L, 19807L),
       (-7346577873828522622L, 108074L), (5548844041100051575L, 11660L),
       (3540560087139055769L, 109329L), (-6215431441632818427L, 11822L))
-    val actual = poolDigests
     assert(actual.map(a => (a._2, a._3)) == pinned, actual.mkString("\n"))
   }
 
