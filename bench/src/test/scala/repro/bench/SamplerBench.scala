@@ -6,8 +6,6 @@ import repro.core.{MRRSamplerCtx, ResidualState}
 import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.{CompactGraph, GraphGen}
 
-import java.util.concurrent.ForkJoinPool
-
 /** Sampler layer on nethept: sets per second and nanoseconds per visited
   * node of the driver sampler, on one worker and on all cores.
   *
@@ -15,9 +13,13 @@ import java.util.concurrent.ForkJoinPool
   * the fresh graph and on a residual one where cascades activated 5% of the
   * nodes. Each cell is timed through both of the context's paths: `sets`
   * draws a pool with `generateLocal`, `counts` counts the same sets with
-  * `countTo` and keeps none. One worker means the sampler's parallel stream
-  * runs inside a one-thread fork-join pool. Each figure is the median of
-  * `Reps` timed passes after two untimed ones.
+  * `countTo` and keeps none. One worker means a context built with
+  * `workers = 1`, which samples on the calling thread alone. Each figure is
+  * the median of `Reps` timed passes after two untimed ones.
+  *
+  * A last row prices one sampler call: 2,000 fresh contexts that each
+  * `countTo(143)` (TRIM's θ_o on nethept) against one `countTo(286000)`
+  * over as many sets, on all cores.
   */
 class SamplerBench extends AnyFunSuite with SparkSpec {
 
@@ -50,7 +52,6 @@ class SamplerBench extends AnyFunSuite with SparkSpec {
   test("sampler throughput on nethept (IC and LT, mRR and vanilla, fresh and residual)") {
     val g = GraphGen.dataset(spark, "nethept", scale = 1.0)
     val bg = spark.sparkContext.broadcast(g)
-    val one = new ForkJoinPool(1)
     val cores = Runtime.getRuntime.availableProcessors()
     println(f"\n=== Sampler throughput: nethept, n = ${g.n}, m = ${g.m}, $cores cores, " +
             f"IC tables ${g.icCdf.length} doubles ===")
@@ -58,23 +59,34 @@ class SamplerBench extends AnyFunSuite with SparkSpec {
             f"${"1-core sets/s"}%13s ${"ns/node"}%8s ${"all sets/s"}%11s ${"ns/node"}%8s ${"speed-up"}%8s")
     for (model <- Seq(IC, LT); (mask, state) <- masks(g, model); vanilla <- Seq(false, true)) {
       val count = if (vanilla) 200000 else 20000
-      def ctx() = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
-                                    math.max(1, state.nI / 10), model, vanilla, 5L)
+      def ctx(workers: Int = cores) =
+        new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
+                          math.max(1, state.nI / 10), model, vanilla, 5L, workers)
       val nodes = ctx().generateLocal(0, count).iterator.map(_.length.toLong).sum
       val counted = { val c = ctx(); c.countTo(count); c.counts.iterator.map(_.toLong).sum }
       assert(counted == nodes, s"$model $mask: counted $counted nodes, the pool holds $nodes")
       val cell = s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}"
-      val paths = Seq[(String, () => Unit)](
-        "sets" -> (() => ctx().generateLocal(0, count)),
-        "counts" -> (() => ctx().countTo(count)))
+      val paths = Seq[(String, Int => Unit)](
+        "sets" -> (w => ctx(w).generateLocal(0, count)),
+        "counts" -> (w => ctx(w).countTo(count)))
       for ((path, f) <- paths) {
-        val single = median(() => one.submit(new Runnable { def run(): Unit = f() }).get())
-        val all = median(f)
+        val single = median(() => f(1))
+        val all = median(() => f(cores))
         println(f"$cell%-30s $path%-6s $count%8d ${nodes.toDouble / count}%9.1f " +
                 f"${count / single}%13.0f ${single * 1e9 / nodes}%8.1f " +
                 f"${count / all}%11.0f ${all * 1e9 / nodes}%8.1f ${single / all}%8.2f")
       }
     }
-    one.shutdown()
+
+    val state = new ResidualState(g, 1)
+    def fresh() = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
+                                    math.max(1, state.nI / 10), IC, false, 5L)
+    val calls = 2000
+    val small = median(() => (1 to calls).foreach(_ => fresh().countTo(143)))
+    val large = median(() => fresh().countTo(143L * calls))
+    println(f"\n=== One sampler call: IC, fresh, mRR, all cores ===")
+    println(f"$calls%d x countTo(143): ${small * 1e6 / calls}%.1f us per call; " +
+            f"countTo(${143 * calls}%d): ${large * 1e6 / calls}%.1f us per 143 sets; " +
+            f"fixed cost ${(small - large) * 1e6 / calls}%.1f us per call")
   }
 }

@@ -25,18 +25,18 @@ import scala.collection.immutable.ArraySeq
   * step per in-edge elsewhere.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. Sets are drawn
-  * and counted on the driver by one worker per core, each claiming blocks of
-  * the index range from a shared cursor (`MRRSamplerCtx.growTo`, `countTo`
-  * and `generateLocal`); the RDD fan-out (`generateSpark`) runs the same
-  * kernel and is kept as the reference the two are tested byte-identical
-  * against.
+  * and counted on the driver by the calling thread and the helper threads of
+  * `SamplerPool`, up to one per core, each claiming chunks of the index range
+  * from a shared cursor (`MRRSamplerCtx.growTo`, `countTo` and
+  * `generateLocal`); the RDD fan-out (`generateSpark`) runs the same kernel
+  * and is kept as the reference the two are tested byte-identical against.
   */
 object MRRSampler {
 
-  /** Fewest sets in one block of `generateLocal`, and per driver worker.
-    * Small enough that TRIM's first doubling (θ_o ≈ 143 sets on nethept)
-    * spreads over every core: claiming a block costs far less than the
-    * cores a larger minimum leaves idle at the start of every round.
+  /** Fewest sets per driver participant: a call draws on at most
+    * count / `MinBlock` threads. Small enough that TRIM's first draw of a
+    * round (the first doubling of θ_o that reaches c_min, 364–572 sets on
+    * nethept) spreads over every core.
     */
   val MinBlock = 16
 
@@ -227,9 +227,10 @@ object MRRSampler {
   *
   * A context grows in one of two ways, fixed by its consumer: `growTo` keeps
   * every set (TRIM-B's greedy and ATEUC read them), `countTo` keeps only the
-  * counts (TRIM and AdaptIM pick the argmax). Either way each sampler worker
-  * counts the sets it draws into its own n-sized array, merged into `counts`
-  * when the call ends.
+  * counts (TRIM and AdaptIM pick the argmax). Either way the calling thread
+  * counts the sets it draws straight into `counts`, and each helper into its
+  * own n-sized array, merged into `counts` stripe by stripe when the call
+  * ends. `workers` caps the threads one call uses, the caller included.
   */
 final class MRRSamplerCtx(
     spark: SparkSession,
@@ -239,9 +240,13 @@ final class MRRSamplerCtx(
     val etaI: Int,
     val model: DiffusionModel,
     val vanillaRoots: Boolean,
-    val seedBase: Long
+    val seedBase: Long,
+    val workers: Int = Runtime.getRuntime.availableProcessors()
 ) {
+  require(workers >= 1, s"workers = $workers must be at least 1")
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+  /** The calling thread's queue in `draw`. */
+  private var queue: NodeQueue = _
   private var countOnly = false
   private var drawn = 0
   private val coverage = new Array[Int](inactive.length)
@@ -314,42 +319,39 @@ final class MRRSamplerCtx(
 
   /** Draw sets `[from, from + count)` on the driver, set i into
     * `out(i - from)` unless `out` is null, and count them into `cover`
-    * unless it is null. Up to one worker per core, on the common fork-join
-    * pool with a `NodeQueue` and its own count array each, claims blocks of
-    * indices from a shared cursor until the range is used up, so uneven set
-    * sizes and late-starting workers balance out. Each worker adds its
-    * counts to `cover` when it runs out of blocks, and the workers' work is
-    * summed, so the output does not depend on the schedule.
+    * unless it is null. The caller and up to `workers` − 1 helpers of
+    * `SamplerPool` (at most one participant per `MinBlock` sets), each with
+    * its own `NodeQueue`, claim chunks of indices from a shared cursor until
+    * the range is used up. A chunk is half of what is left per participant,
+    * so chunks shrink to single sets at the end and the participants finish
+    * within about one set of each other, however uneven the sets and however
+    * late a helper starts. Counts and work are summed over the participants,
+    * so the output does not depend on the schedule.
     */
   private def draw(from: Long, count: Int, out: Array[Array[Int]], cover: Array[Int]): Unit = {
     val g = bg.value
-    val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors(),
-                                       count / MRRSampler.MinBlock))
-    val block = math.max(MRRSampler.MinBlock, count / (8 * workers))
-    val nextBlock = new AtomicInteger(0)
-    def worker(): Long = {
-      val s = new NodeQueue(g.n)
-      val local = if (cover == null) null else new Array[Int](g.n)
+    val participants = math.max(1, math.min(workers, count / MRRSampler.MinBlock))
+    val next = new AtomicInteger(0)
+    def drain(s: NodeQueue, local: Array[Int]): Long = {
       var work = 0L
-      var i = nextBlock.getAndIncrement().toLong * block
+      var i = next.get()
       while (i < count) {
-        val end = math.min(count.toLong, i + block).toInt
-        while (i < end) {
-          work += MRRSampler.sampleInto(
-            s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
-          if (out != null) out(i.toInt) = s.result()
-          if (local != null) s.countInto(local)
-          i += 1
+        val end = i + math.max(1, (count - i) / (2 * participants))
+        if (next.compareAndSet(i, end)) {
+          while (i < end) {
+            work += MRRSampler.sampleInto(
+              s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
+            if (out != null) out(i) = s.result()
+            if (local != null) s.countInto(local)
+            i += 1
+          }
         }
-        i = nextBlock.getAndIncrement().toLong * block
-      }
-      if (local != null) cover.synchronized {
-        var v = 0
-        while (v < local.length) { cover(v) += local(v); v += 1 }
+        i = next.get()
       }
       work
     }
-    totalWork += java.util.stream.IntStream.range(0, workers).parallel().mapToLong(_ => worker()).sum()
+    if (queue == null) queue = new NodeQueue(g.n)
+    totalWork += SamplerPool.run(participants - 1, g.n, cover, queue, drain)
   }
 
   /** RDD fan-out: every task pulls the broadcast graph and generates its

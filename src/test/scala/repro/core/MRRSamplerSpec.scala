@@ -423,25 +423,120 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     Seq("fresh" -> fresh, s"${residual.nActive} active" -> residual)
   }
 
+  /** 3,000 sets per cell, in stream order, folded into one hash, with the
+    * cell's work.
+    */
+  private def digests(): Seq[(String, Long, Long)] =
+    for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
+    yield {
+      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+                                  state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
+      val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
+        h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
+      (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
+    }
+
+  /** Pinned before the count-only pool and the CDF tables, which must not
+    * change a draw, a set or its order.
+    */
+  private val pinnedDigests = Seq(
+    (-4534229533233864194L, 188847L), (780002585633663382L, 21065L),
+    (4517318034212577868L, 182624L), (-4416147105923410451L, 19807L),
+    (-7346577873828522622L, 108074L), (5548844041100051575L, 11660L),
+    (3540560087139055769L, 109329L), (-6215431441632818427L, 11822L))
+
   test("pools and work reproduce pinned digests (IC and LT, mRR and vanilla, fresh and residual)") {
-    // 3,000 sets per cell, in stream order, folded into one hash, with the
-    // cell's work. Pinned before the count-only pool and the CDF tables,
-    // which must not change a draw, a set or its order.
-    val actual =
-      for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
-      yield {
-        val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
-                                    state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
-        val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
-          h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
-        (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
+    val actual = digests()
+    assert(actual.map(a => (a._2, a._3)) == pinnedDigests, actual.mkString("\n"))
+  }
+
+  test("a failing sampler worker surfaces in the caller, and the next call is unaffected") {
+    assume(Runtime.getRuntime.availableProcessors() > 1, "the pool has no helper on one core")
+    // Every helper that joins counts node 5, then throws; the caller waits
+    // for one to throw. The merge still runs, so the counts reach `cover`
+    // and the helpers' arrays are left zero.
+    val caller = Thread.currentThread()
+    val thrown = new java.util.concurrent.atomic.AtomicInteger(0)
+    val cover = new Array[Int](nethept.n)
+    val e = intercept[IllegalStateException] {
+      SamplerPool.run(3, nethept.n, cover, new NodeQueue(nethept.n), (_, counts) => {
+        if (Thread.currentThread() ne caller) {
+          counts(5) += 1
+          thrown.incrementAndGet()
+          throw new IllegalStateException("set 7 failed")
+        }
+        val deadline = System.nanoTime() + 10000000000L
+        while (thrown.get == 0 && System.nanoTime() < deadline) Thread.sleep(1)
+        0L
+      })
+    }
+    assert(e.getMessage == "set 7 failed")
+    assert(cover(5) == thrown.get && cover.sum == thrown.get)
+    // In the sampler itself: a root candidate outside the graph fails the
+    // sets that draw it, on whichever thread draws them, after others have
+    // been counted.
+    val state = new ResidualState(nethept, 1)
+    val bg = spark.sparkContext.broadcast(nethept)
+    (1 to 10).foreach { call =>
+      val ctx = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes :+ (nethept.n + 7),
+                                  1, IC, vanillaRoots = true, 61L + call)
+      intercept[ArrayIndexOutOfBoundsException](ctx.countTo(20000))
+    }
+    val actual = digests()
+    assert(actual.map(a => (a._2, a._3)) == pinnedDigests, actual.mkString("\n"))
+    inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
+      ctx.countTo(5003)
+      assert(ctx.counts.toSeq == Coverage.counts(nethept.n, direct.generateLocal(0, 5003)).toSeq, name)
+    }
+  }
+
+  test("two threads sampling at once get the pools, counts and work of two runs in sequence") {
+    /** Per input: the counts and work of `countTo(5003)`, then the sets and
+      * work of `generateLocal(0, 3001)`, on contexts of `workers` threads.
+      */
+    def runAll(order: Seq[Int], workers: Int): Map[Int, (Seq[Int], Long, Seq[Seq[Int]], Long)] =
+      order.map { i =>
+        val (_, c) = inputs(i)
+        def fresh() = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), c.inactive,
+                                         c.inactiveNodes, c.etaI, c.model, c.vanillaRoots,
+                                         c.seedBase, workers)
+        val counted = fresh()
+        counted.countTo(5003)
+        val drawn = fresh()
+        val sets = drawn.generateLocal(0, 3001).map(_.toSeq)
+        i -> ((counted.counts.toSeq, counted.totalWork, sets, drawn.totalWork))
+      }.toMap
+    val indices = inputs.indices
+    val expected = runAll(indices, workers = 1)
+    (1 to 3).foreach { round =>
+      val results = new Array[Map[Int, (Seq[Int], Long, Seq[Seq[Int]], Long)]](2)
+      val threads = Seq(indices, indices.reverse).zipWithIndex.map { case (order, k) =>
+        new Thread(() => results(k) = runAll(order, Runtime.getRuntime.availableProcessors()))
       }
-    val pinned = Seq(
-      (-4534229533233864194L, 188847L), (780002585633663382L, 21065L),
-      (4517318034212577868L, 182624L), (-4416147105923410451L, 19807L),
-      (-7346577873828522622L, 108074L), (5548844041100051575L, 11660L),
-      (3540560087139055769L, 109329L), (-6215431441632818427L, 11822L))
-    assert(actual.map(a => (a._2, a._3)) == pinned, actual.mkString("\n"))
+      threads.foreach(_.start())
+      threads.foreach(_.join(120000))
+      results.zipWithIndex.foreach { case (r, k) =>
+        assert(r != null, s"round $round: thread $k did not finish")
+        indices.foreach(i => assert(r(i) == expected(i), s"round $round, thread $k, ${inputs(i)._1}"))
+      }
+    }
+  }
+
+  test("the sampler's pool threads are daemons and go idle after a solve") {
+    val g = GraphGen.dataset(spark, "nethept", scale = 0.2)
+    Asti.run(spark, g, g.n / 10, 0.5, TrimSelector, IC, 3L)
+    val pool = SamplerPool.threads
+    val cores = Runtime.getRuntime.availableProcessors()
+    assert(pool.length <= cores - 1)
+    if (cores > 1) assert(pool.nonEmpty, "a solve on more than one core used no helper")
+    assert(pool.forall(_.isDaemon), pool.filterNot(_.isDaemon).map(_.getName).mkString(", "))
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+    assume(mx.isThreadCpuTimeSupported)
+    def cpu(): Long = pool.map(t => math.max(0L, mx.getThreadCpuTime(t.getId))).sum
+    val before = cpu()
+    Thread.sleep(200)
+    val busy = cpu() - before
+    assert(busy < 5000000L, s"pool threads used ${busy / 1e6} ms of CPU in 200 ms after a solve")
   }
 
   test("vanilla RR-sets match the reference sampler's in distribution") {

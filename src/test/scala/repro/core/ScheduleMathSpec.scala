@@ -64,6 +64,26 @@ class ScheduleMathSpec extends AnyFunSuite {
     }
   }
 
+  test("no coverage below c_min passes the stop test, and the stop ratio rises with coverage") {
+    for (n <- Seq(100, 5000, 50000); target <- Seq(1, 10, n / 10, n); eps <- Seq(0.1, 0.5, 0.9);
+         b <- Seq(1, 2, 4, 8)) {
+      val rhoB = TrimB.rho(b)
+      val sch = Trim.schedule(n, target, eps, TrimB.lnChoose(n, b), rhoB, b)
+      val cMin = TrimB.minStopCoverage(sch, rhoB)
+      val cell = s"n=$n target=$target eps=$eps b=$b c_min=$cMin"
+      assert(cMin > 0 && cMin < sch.thetaMax, cell)
+      assert((0 until cMin).forall(c => !TrimB.stops(c, sch, rhoB)), cell)
+      assert((cMin to 2 * cMin).forall(c => TrimB.stops(c, sch, rhoB)), cell)
+      // Λˡ dips below 0 (from 0 at c = 0, up to rounding) before it grows:
+      // the ratio is never positive up to its minimum, and strictly rising
+      // after it.
+      val ratios = (0 to 2 * cMin).map(TrimB.stopRatio(_, sch, rhoB))
+      val dip = ratios.indexOf(ratios.min)
+      assert(ratios.take(dip + 1).forall(_ <= 1e-12), cell)
+      assert(ratios.drop(dip).sliding(2).forall(p => p(0) < p(1)), cell)
+    }
+  }
+
   test("rho is within (1 − 1/e, 1] for all b ≥ 1") {
     (1 to 64).foreach { b =>
       val r = TrimB.rho(b)

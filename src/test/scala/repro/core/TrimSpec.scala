@@ -19,6 +19,59 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
     (ctx, state)
   }
 
+  /** `TrimB.select` as it was before it skipped the checks below c_min:
+    * grow from ⌈θ_o⌉ and check after every doubling.
+    */
+  private def checkEveryDoubling(ctx: MRRSamplerCtx, eps: Double, b: Int): SelectResult = {
+    val nI = ctx.nI
+    val bEff = math.min(b, nI)
+    val rhoB = TrimB.rho(bEff)
+    val target = if (ctx.vanillaRoots) nI else ctx.etaI
+    val sch = Trim.schedule(nI, target, eps, TrimB.lnChoose(nI, bEff), rhoB, bEff)
+    def grow(size: Long): Unit = if (bEff == 1) ctx.countTo(size) else ctx.growTo(size)
+    grow(math.ceil(sch.thetaO).toLong)
+    var t = 1
+    while (true) {
+      val (batch, covered) =
+        if (bEff == 1) { val (v, c) = Coverage.topNode(ctx.counts); (Array(v), c) }
+        else Coverage.greedyCover(ctx.counts, ctx.sets, bEff)
+      val lamL = Trim.lamLower(covered, sch.a1)
+      val lamU = Trim.lamUpper(covered / rhoB, sch.a2)
+      if ((lamU > 0 && lamL / lamU >= rhoB * (1.0 - sch.epsHat)) || t == sch.T) {
+        val est = target.toDouble * covered / ctx.totalSamples
+        return SelectResult(batch, est, ctx.totalSamples, ctx.totalWork, t)
+      }
+      t += 1
+      grow(math.min(ctx.totalSamples * 2, math.ceil(sch.thetaMax).toLong))
+    }
+    throw new IllegalStateException("unreachable")
+  }
+
+  test("select returns what checking after every doubling returns (IC and LT, mRR and vanilla, b = 1 and 4)") {
+    val nethept = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val edgeless = CompactGraph.fromEdges(40, Seq.empty)
+    var skipped = 0
+    for ((g, eta, pre) <- Seq((nethept, nethept.n / 10, Array.empty[Int]),
+                              (nethept, nethept.n / 10 + 5, (0 until nethept.n / 10).toArray),
+                              (edgeless, 20, Array(0, 1))); model <- Seq(IC, LT);
+         vanilla <- Seq(false, true); b <- Seq(1, 4); seed <- Seq(3L, 4L)) {
+      val cell = s"n=${g.n} eta=$eta pre=${pre.length} $model vanilla=$vanilla b=$b seed=$seed"
+      val res = TrimB.select(ctxFor(g, eta, model, vanilla, seed, pre)._1, 0.5, b)
+      val (ref, state) = ctxFor(g, eta, model, vanilla, seed, pre)
+      val old = checkEveryDoubling(ref, 0.5, b)
+      assert(res.seeds.toSeq == old.seeds.toSeq, cell)
+      assert(res.samples > 0, cell)
+      assert((res.estTruncated, res.samples, res.work, res.iterations) ==
+             (old.estTruncated, old.samples, old.work, old.iterations), cell)
+      val bEff = math.min(b, state.nI)
+      val target = if (vanilla) state.nI else state.etaI
+      val sch = Trim.schedule(state.nI, target, 0.5, TrimB.lnChoose(state.nI, bEff),
+                              TrimB.rho(bEff), bEff)
+      if (TrimB.minStopCoverage(sch, TrimB.rho(bEff)) > math.ceil(sch.thetaO)) skipped += 1
+    }
+    assert(skipped > 0, "no cell skipped a check")
+  }
+
   test("lamLower never exceeds the observed coverage") {
     for (cov <- Seq(0.0, 1.0, 10.0, 500.0, 12345.0); a <- Seq(1.0, 5.0, 20.0))
       assert(Trim.lamLower(cov, a) <= cov + 1e-9, s"cov=$cov a=$a")
