@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.diffusion.DiffusionModel
 import repro.experiments.{AlgoComparison, ExpConfig}
 
@@ -10,10 +9,10 @@ import repro.experiments.{AlgoComparison, ExpConfig}
   * but samples far less; ADAPTIM matches ASTI's seed counts but samples an
   * order of magnitude more; adaptive algorithms always reach η.
   */
-class AlgoComparisonBench extends AnyFunSuite with SparkSpec {
+class AlgoComparisonBench extends AnyFunSuite {
 
   test("six-algorithm comparison on nethept (IC)") {
-    val rows = AlgoComparison.run(spark, "nethept", DiffusionModel.IC, etaFrac = 0.1)
+    val rows = AlgoComparison.run("nethept", DiffusionModel.IC, etaFrac = 0.1)
     println("\n=== Algorithm comparison (supports Figures 4/5/8 claims) ===")
     println(AlgoComparison.format("nethept", DiffusionModel.IC, 0.1, rows))
 
@@ -35,7 +34,7 @@ class AlgoComparisonBench extends AnyFunSuite with SparkSpec {
   }
 
   test("six-algorithm comparison on nethept (LT)") {
-    val rows = AlgoComparison.run(spark, "nethept", DiffusionModel.LT, etaFrac = 0.1)
+    val rows = AlgoComparison.run("nethept", DiffusionModel.LT, etaFrac = 0.1)
     println(AlgoComparison.format("nethept", DiffusionModel.LT, 0.1, rows))
     val byAlgo = rows.map(r => r.algo -> r).toMap
     Seq("ASTI", "ASTI-2", "ASTI-4", "ASTI-8", "ADAPTIM").foreach { a =>
@@ -45,7 +44,7 @@ class AlgoComparisonBench extends AnyFunSuite with SparkSpec {
   }
 
   test("spread-distribution reliability (§6.4): ASTI meets η everywhere, near η") {
-    val rows = AlgoComparison.run(spark, "nethept", DiffusionModel.IC, etaFrac = 0.15,
+    val rows = AlgoComparison.run("nethept", DiffusionModel.IC, etaFrac = 0.15,
                                   realizations = math.max(3, ExpConfig.realizations))
     val asti = rows.find(_.algo == "ASTI").get
     assert(asti.feasible == asti.realizations)

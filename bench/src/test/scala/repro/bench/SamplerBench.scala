@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.core.{MRRSamplerCtx, ResidualState}
 import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.{CompactGraph, GraphGen}
@@ -21,7 +20,7 @@ import repro.graph.{CompactGraph, GraphGen}
   * `countTo(143)` (TRIM's θ_o on nethept) against one `countTo(286000)`
   * over as many sets, on all cores.
   */
-class SamplerBench extends AnyFunSuite with SparkSpec {
+class SamplerBench extends AnyFunSuite {
 
   import DiffusionModel.{IC, LT}
 
@@ -50,8 +49,7 @@ class SamplerBench extends AnyFunSuite with SparkSpec {
   }
 
   test("sampler throughput on nethept (IC and LT, mRR and vanilla, fresh and residual)") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 1.0)
-    val bg = spark.sparkContext.broadcast(g)
+    val g = GraphGen.dataset("nethept", scale = 1.0)
     val cores = Runtime.getRuntime.availableProcessors()
     println(f"\n=== Sampler throughput: nethept, n = ${g.n}, m = ${g.m}, $cores cores, " +
             f"IC tables ${g.icCdf.length} doubles ===")
@@ -60,7 +58,7 @@ class SamplerBench extends AnyFunSuite with SparkSpec {
     for (model <- Seq(IC, LT); (mask, state) <- masks(g, model); vanilla <- Seq(false, true)) {
       val count = if (vanilla) 200000 else 20000
       def ctx(workers: Int = cores) =
-        new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
+        new MRRSamplerCtx(g, state.inactive, state.inactiveNodes,
                           math.max(1, state.nI / 10), model, vanilla, 5L, workers)
       val nodes = ctx().generateLocal(0, count).iterator.map(_.length.toLong).sum
       val counted = { val c = ctx(); c.countTo(count); c.counts.iterator.map(_.toLong).sum }
@@ -79,7 +77,7 @@ class SamplerBench extends AnyFunSuite with SparkSpec {
     }
 
     val state = new ResidualState(g, 1)
-    def fresh() = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes,
+    def fresh() = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes,
                                     math.max(1, state.nI / 10), IC, false, 5L)
     val calls = 2000
     val small = median(() => (1 to calls).foreach(_ => fresh().countTo(143)))

@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.experiments.{ExpConfig, Table3}
 
 /** Reproduces Table 3: improvement ratio of ASTI over ATEUC in the number of
@@ -12,10 +11,10 @@ import repro.experiments.{ExpConfig, Table3}
   * Scale and realization count come from REPRO_SCALE / REPRO_REALIZATIONS
   * (defaults: mini-scale grid, 3 realizations; the paper used 20).
   */
-class Table3Bench extends AnyFunSuite with SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
   test("Table 3: ASTI vs ATEUC improvement ratio grid") {
-    val cells = Table3.run(spark)
+    val cells = Table3.run()
     println(s"\n=== Table 3 (scale=${ExpConfig.scale}, R=${ExpConfig.realizations}, ε=${ExpConfig.eps}) ===")
     println(Table3.format(cells))
     println("--- paper values (η/n grid per row) ---")

@@ -1,26 +1,23 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.experiments.{ExpConfig, Table3}
 
-/** spark-submit entrypoint reproducing Table 3 (improvement ratio of ASTI
-  * over ATEUC per threshold, IC & LT; N/A where ATEUC misses η on some
-  * realization).
+/** Entrypoint reproducing Table 3 (improvement ratio of ASTI over ATEUC per
+  * threshold, IC & LT; N/A where ATEUC misses η on some realization). It
+  * starts no SparkSession: every solve runs on the driver's own threads.
   *
   * Usage: spark-submit --class repro.jobs.Table3Job repro.jar [realizations]
-  * Scale/eps via REPRO_SCALE / REPRO_EPS.
+  * Scale via REPRO_SCALE; ε is the paper's 0.5.
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("table3").getOrCreate()
     val realizations = args.headOption.map(_.toInt).getOrElse(ExpConfig.realizations)
-    val cells = Table3.run(spark, realizations = realizations)
+    val cells = Table3.run(realizations = realizations)
     println(s"=== Table 3 (scale=${ExpConfig.scale}, R=$realizations, ε=${ExpConfig.eps}) ===")
     println(Table3.format(cells))
     println("--- paper values ---")
     Table3.paper.foreach { case (model, ds, vals) =>
       println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}")
     }
-    spark.stop()
   }
 }

@@ -44,14 +44,19 @@ object Ateuc {
   val InitialTheta = 256
   val MaxIterations = 14
 
-  def select(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int,
-             model: DiffusionModel, seed: Long): AteucResult = {
+  def select(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): AteucResult = {
     // All-inactive residual state: ATEUC samples the full graph, once.
-    val state = new ResidualState(bg.value, eta)
+    val state = new ResidualState(g, eta)
     select(new MRRSamplerCtx(
-      spark, bg, state.inactive, state.inactiveNodes, eta, model,
+      g, state.inactive, state.inactiveNodes, eta, model,
       vanillaRoots = true, seedBase = seed))
   }
+
+  /** The pre-broadcast form, which perfbench's harness calls; it goes at the
+    * next benchmark change.
+    */
+  def select(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int,
+             model: DiffusionModel, seed: Long): AteucResult = select(bg.value, eta, model, seed)
 
   /** ATEUC over the pool of `ctx`, a full-graph context of vanilla RR-sets
     * whose target η is `ctx.etaI`.

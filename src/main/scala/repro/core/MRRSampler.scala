@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.diffusion.DiffusionModel
@@ -219,11 +220,10 @@ object MRRSampler {
   }
 }
 
-/** Per-round sampling context and sample pool: fixes the residual mask,
-  * target and model so repeated doubling rounds share one broadcast, and
-  * counts the sets drawn so far, set i being stream index i, into their
-  * coverage counts Λ(v). Tracks cumulative work for the efficiency
-  * instrumentation.
+/** Per-round sampling context and sample pool: fixes the graph, residual
+  * mask, target and model for a round's doublings, and counts the sets drawn
+  * so far, set i being stream index i, into their coverage counts Λ(v).
+  * Tracks cumulative work for the efficiency instrumentation.
   *
   * A context grows in one of two ways, fixed by its consumer: `growTo` keeps
   * every set (TRIM-B's greedy and ATEUC read them), `countTo` keeps only the
@@ -231,10 +231,14 @@ object MRRSampler {
   * counts the sets it draws straight into `counts`, and each helper into its
   * own n-sized array, merged into `counts` stripe by stripe when the call
   * ends. `workers` caps the threads one call uses, the caller included.
+  *
+  * The constructor rejects a residual state the kernel cannot draw from,
+  * naming the position and value: a mask whose length is not n, a node list
+  * entry outside [0, n), active, or not above the one before it (ids ascend
+  * strictly), and η_i outside [1, n_i].
   */
 final class MRRSamplerCtx(
-    spark: SparkSession,
-    bg: Broadcast[CompactGraph],
+    val graph: CompactGraph,
     val inactive: Array[Boolean],
     val inactiveNodes: Array[Int],
     val etaI: Int,
@@ -244,13 +248,26 @@ final class MRRSamplerCtx(
     val workers: Int = Runtime.getRuntime.availableProcessors()
 ) {
   require(workers >= 1, s"workers = $workers must be at least 1")
+  require(inactive.length == graph.n,
+    s"inactive has ${inactive.length} entries for a graph of n = ${graph.n} nodes")
+  MRRSamplerCtx.requireResidual(graph.n, inactive, inactiveNodes)
+  require(etaI >= 1 && etaI <= inactiveNodes.length,
+    s"η_i = $etaI lies outside [1, n_i = ${inactiveNodes.length}]")
+
+  /** The pre-broadcast form, which perfbench's trace probe calls; it goes at
+    * the next benchmark change.
+    */
+  def this(spark: SparkSession, bg: Broadcast[CompactGraph], inactive: Array[Boolean],
+           inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
+           seedBase: Long) = this(bg.value, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase)
+
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
   /** The calling thread's queue in `draw`. */
   private var queue: NodeQueue = _
   private var countOnly = false
   private var drawn = 0
   private val coverage = new Array[Int](inactive.length)
-  if (model == DiffusionModel.LT) bg.value.requireLT()
+  if (model == DiffusionModel.LT) graph.requireLT()
 
   /** Random draws made by the reverse BFS of every set drawn by this context
     * (`sampleOne`'s work), summed over all `growTo`, `countTo`,
@@ -329,7 +346,7 @@ final class MRRSamplerCtx(
     * so the output does not depend on the schedule.
     */
   private def draw(from: Long, count: Int, out: Array[Array[Int]], cover: Array[Int]): Unit = {
-    val g = bg.value
+    val g = graph
     val participants = math.max(1, math.min(workers, count / MRRSampler.MinBlock))
     val next = new AtomicInteger(0)
     def drain(s: NodeQueue, local: Array[Int]): Long = {
@@ -354,31 +371,55 @@ final class MRRSamplerCtx(
     totalWork += SamplerPool.run(participants - 1, g.n, cover, queue, drain)
   }
 
-  /** RDD fan-out: every task pulls the broadcast graph and generates its
-    * slice of the sample-index range with one `NodeQueue` per partition. The
-    * reference `generateLocal` is checked against.
+  /** RDD fan-out on the running `SparkContext`: the graph, mask and node
+    * list are broadcast for this call, every task generates its slice of the
+    * sample-index range with one `NodeQueue` per partition, and the three
+    * broadcasts are destroyed afterwards. The reference `generateLocal` is
+    * checked against.
     */
   def generateSpark(from: Long, count: Int): IndexedSeq[Array[Int]] = {
-    val sc = spark.sparkContext
-    val (inactiveB, nodesB) = (sc.broadcast(inactive), sc.broadcast(inactiveNodes))
+    val sc = SparkContext.getOrCreate()
+    val (graphB, inactiveB, nodesB) =
+      (sc.broadcast(graph), sc.broadcast(inactive), sc.broadcast(inactiveNodes))
     val (etaI0, model0, vanilla0, seed0) = (etaI, model, vanillaRoots, seedBase)
-    val g0 = bg
-    val results = sc
-      .range(from, from + count, numSlices = sc.defaultParallelism)
-      .mapPartitions { idxs =>
-        val g = g0.value
-        val s = new NodeQueue(g.n)
-        idxs.map { idx =>
-          val work = MRRSampler.sampleInto(
-            s, g, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
-          (s.result(), work.toLong)
+    val results =
+      try sc
+        .range(from, from + count, numSlices = sc.defaultParallelism)
+        .mapPartitions { idxs =>
+          val g = graphB.value
+          val s = new NodeQueue(g.n)
+          idxs.map { idx =>
+            val work = MRRSampler.sampleInto(
+              s, g, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
+            (s.result(), work.toLong)
+          }
         }
-      }
-      .collect()
-    inactiveB.destroy(); nodesB.destroy()
+        .collect()
+      finally { graphB.destroy(); inactiveB.destroy(); nodesB.destroy() }
     totalWork += results.iterator.map(_._2).sum
     // `range` slices the indices in order and `collect` keeps partition
     // order, so the sets come back in stream order.
     ArraySeq.unsafeWrapArray(results.map(_._1))
+  }
+}
+
+object MRRSamplerCtx {
+
+  /** Rejects a node list with an entry outside [0, n), active, or not above
+    * the one before it, naming the first such position and value.
+    */
+  private def requireResidual(n: Int, inactive: Array[Boolean], nodes: Array[Int]): Unit = {
+    var i = 0
+    while (i < nodes.length) {
+      val v = nodes(i)
+      if (v < 0 || v >= n || !inactive(v) || (i > 0 && nodes(i - 1) >= v)) {
+        val why =
+          if (v < 0 || v >= n) s"lies outside [0, n = $n)"
+          else if (!inactive(v)) "is active"
+          else s"does not exceed inactiveNodes(${i - 1}) = ${nodes(i - 1)}; ids must ascend strictly"
+        throw new IllegalArgumentException(s"requirement failed: inactiveNodes($i) = $v $why")
+      }
+      i += 1
+    }
   }
 }

@@ -1,6 +1,5 @@
 package repro.diffusion
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.{CompactGraph, NodeQueue}
 import repro.util.Rng
 
@@ -39,12 +38,6 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
       i += 1
     }
     -1
-  }
-
-  /** Is edge e (into node `graph.dsts(e)`) live under φ in this model? */
-  def liveInto(e: Int): Boolean = model match {
-    case DiffusionModel.IC => icLive(e)
-    case DiffusionModel.LT => ltChosen(graph.dsts(e)) == e
   }
 
   /** Forward-reachable set from `seeds` through live edges, restricted to
@@ -89,15 +82,4 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
   /** Spread I_φ(S) (optionally restricted to a residual node set). */
   def spread(seeds: Array[Int], eligible: Array[Boolean] = null): Int =
     forwardReachable(seeds, eligible).length
-
-  /** Materialized live edges as a DataFrame (src, dst) — the input of the
-    * DuckDB recursive-CTE reachability check of `forwardReachable`.
-    */
-  def liveEdgesDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    (0 until graph.m)
-      .filter(liveInto)
-      .map(e => (graph.srcs(e), graph.dsts(e)))
-      .toDF("src", "dst")
-  }
 }

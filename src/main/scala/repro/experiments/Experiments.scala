@@ -9,12 +9,13 @@ import repro.util.Rng
 
 /** Shared configuration for the evaluation harnesses. Scale and realization
   * count default to the mini-scale grid of DESIGN.md §5 and are overridable
-  * via environment (the paper used full SNAP datasets and 20 realizations).
+  * via environment (the paper used full SNAP datasets and 20 realizations);
+  * ε is the paper's 0.5.
   */
 object ExpConfig {
   def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
   def realizations: Int = sys.env.get("REPRO_REALIZATIONS").map(_.toInt).getOrElse(3)
-  def eps: Double = sys.env.get("REPRO_EPS").map(_.toDouble).getOrElse(0.5)
+  val eps = 0.5
   val graphSeed = 42L
 
   /** Paper's large-η grid (NetHEPT/Epinions/Youtube). */
@@ -43,7 +44,7 @@ object Table2 {
 
   def run(spark: SparkSession, scale: Double = ExpConfig.scale): Seq[Row] =
     GraphGen.datasets.map { spec =>
-      val g = GraphGen.dataset(spark, spec.name, scale, ExpConfig.graphSeed)
+      val g = GraphGen.dataset(spec.name, scale, ExpConfig.graphSeed)
       // Paper's "Avg. deg." is 2m/n with m as listed in Table 2 (undirected
       // edges counted once). Our m counts arcs, i.e. undirected edges twice,
       // so: undirected → arcs/n, directed → 2·arcs/n.
@@ -96,17 +97,15 @@ object Table3 {
     ("LT", "livejournal", Seq("N/A", "N/A", "N/A", "N/A", "N/A")),
   )
 
-  def runCell(spark: SparkSession, g: CompactGraph, dataset: String,
-              model: DiffusionModel, etaFrac: Double, realizations: Int,
-              eps: Double, seed: Long): Cell = {
-    val bg = spark.sparkContext.broadcast(g)
+  def runCell(g: CompactGraph, dataset: String, model: DiffusionModel, etaFrac: Double,
+              realizations: Int, eps: Double, seed: Long): Cell = {
     val eta = math.max(1, (g.n * etaFrac).toInt)
-    val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 1L))
+    val ateuc = Ateuc.select(g, eta, model, Rng.state(seed, 1L))
     var feasible = 0
     var astiSeedSum = 0.0
     (0 until realizations).foreach { r =>
       val realSeed = Rng.state(seed, 1000L + r)
-      val asti = Asti.run(spark, bg, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
+      val asti = Asti.run(g, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
       require(asti.finalSpread >= eta,
         s"ASTI must always reach η; got ${asti.finalSpread} < $eta")
       astiSeedSum += asti.numSeeds
@@ -117,7 +116,7 @@ object Table3 {
          ateuc.numSeeds, feasible, realizations)
   }
 
-  def run(spark: SparkSession, datasets: Seq[String] = GraphGen.datasets.map(_.name),
+  def run(datasets: Seq[String] = GraphGen.datasets.map(_.name),
           models: Seq[DiffusionModel] = DiffusionModel.all,
           realizations: Int = ExpConfig.realizations,
           eps: Double = ExpConfig.eps,
@@ -125,11 +124,11 @@ object Table3 {
           seed: Long = 1234L): Seq[Cell] =
     for {
       dataset <- datasets
-      g = GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed)
+      g = GraphGen.dataset(dataset, scale, ExpConfig.graphSeed)
       model <- models
       frac <- ExpConfig.fracsFor(dataset)
     } yield {
-      val cell = runCell(spark, g, dataset, model, frac, realizations, eps,
+      val cell = runCell(g, dataset, model, frac, realizations, eps,
                          Rng.state(seed, (dataset + model.name + frac).hashCode.toLong))
       Console.err.println(s"[Table3] ${format(Seq(cell))}")
       cell
@@ -158,19 +157,17 @@ object AlgoComparison {
                        avgWork: Double, avgMillis: Double, feasible: Int,
                        realizations: Int)
 
-  def run(spark: SparkSession, dataset: String, model: DiffusionModel,
-          etaFrac: Double, realizations: Int = ExpConfig.realizations,
-          eps: Double = ExpConfig.eps, scale: Double = ExpConfig.scale,
-          seed: Long = 99L): Seq[Row] = {
-    val g = GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed)
-    val bg = spark.sparkContext.broadcast(g)
+  def run(dataset: String, model: DiffusionModel, etaFrac: Double,
+          realizations: Int = ExpConfig.realizations, eps: Double = ExpConfig.eps,
+          scale: Double = ExpConfig.scale, seed: Long = 99L): Seq[Row] = {
+    val g = GraphGen.dataset(dataset, scale, ExpConfig.graphSeed)
     val eta = math.max(1, (g.n * etaFrac).toInt)
     val adaptive: Seq[Selector] =
       Seq(TrimSelector, TrimBSelector(2), TrimBSelector(4), TrimBSelector(8), AdaptImSelector)
     val rows = adaptive.map { sel =>
       var seeds = 0.0; var samples = 0.0; var work = 0.0; var millis = 0.0; var feas = 0
       (0 until realizations).foreach { r =>
-        val res = Asti.run(spark, bg, eta, eps, sel, model,
+        val res = Asti.run(g, eta, eps, sel, model,
                            Rng.state(seed, 10L + r), Rng.state(seed, 20L + r))
         seeds += res.numSeeds; samples += res.samples; work += res.work
         millis += res.wallMillis
@@ -180,7 +177,7 @@ object AlgoComparison {
           work / realizations, millis / realizations, feas, realizations)
     }
     val t0 = System.nanoTime()
-    val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 30L))
+    val ateuc = Ateuc.select(g, eta, model, Rng.state(seed, 30L))
     val ateucMs = (System.nanoTime() - t0) / 1e6
     val feasible = (0 until realizations).count { r =>
       new Realization(g, model, Rng.state(seed, 10L + r)).spread(ateuc.seeds) >= eta

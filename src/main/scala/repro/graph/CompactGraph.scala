@@ -1,8 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
-/** A probabilistic directed social network in CSR form, broadcastable to tasks.
+/** A probabilistic directed social network in CSR form.
   *
   * Edges are numbered `0 until m` in ascending (src, dst) order;
   * `srcs(e) -> dsts(e)` carries propagation probability `probs(e)`. The edges
@@ -14,7 +12,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *
   * Node ids are dense `0 until n`. Graphs in this reproduction have at most
   * about a million arcs (youtube at scale 10 has 1.19M), so the CSR lives on
-  * the driver and is shipped to executors via `SparkContext.broadcast`.
+  * the driver; it is `Serializable` so that `MRRSamplerCtx.generateSpark`
+  * can broadcast it.
   *
   * Besides the CSR (4(2m + 2n) bytes plus 8m for `probs`), the constructor
   * derives the reverse sampler's arrays once per graph: `inSrc` (4m bytes),
@@ -84,27 +83,6 @@ final class CompactGraph(
     s"LT needs every node's in-edge probabilities to sum to at most 1; " +
     s"node $ltExcessNode's sum to ${inProbSum(ltExcessNode)}")
 
-  /** Iterate edge ids leaving `v`. */
-  @inline def foreachOutEdge(v: Int)(f: Int => Unit): Unit = {
-    var e = outOff(v)
-    while (e < outOff(v + 1)) { f(e); e += 1 }
-  }
-
-  /** Iterate edge ids entering `v`. */
-  @inline def foreachInEdge(v: Int)(f: Int => Unit): Unit = {
-    var i = inOff(v)
-    while (i < inOff(v + 1)) { f(inEdge(i)); i += 1 }
-  }
-
-  /** In-edge ids of `v` in deterministic (edge-id) order — LT choice order. */
-  def inEdgesOf(v: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(inEdge, inOff(v), inOff(v + 1))
-
-  /** Edge list as a DataFrame (src, dst, p) for SQL-side checks and stats. */
-  def edgesDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    (0 until m).map(e => (srcs(e), dsts(e), probs(e))).toDF("src", "dst", "p")
-  }
 }
 
 object CompactGraph {

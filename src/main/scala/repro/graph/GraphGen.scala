@@ -127,9 +127,9 @@ object GraphGen {
   /** Generate a dataset as a weighted-cascade CompactGraph: community cliques
     * plus power-law long-range edges up to the target arc count. `scale`
     * shrinks or grows both n and the arc target. Edge ids follow (src, dst)
-    * order. `spark` is unused: generation runs on the driver alone.
+    * order.
     */
-  def dataset(spark: SparkSession, name: String, scale: Double = 1.0, seed: Long = 42): CompactGraph = {
+  def dataset(name: String, scale: Double = 1.0, seed: Long = 42): CompactGraph = {
     val spec = datasetSpec(name)
     val n = math.max(16, (spec.n * scale).toInt)
     val targetArcs = math.max(16, (spec.targetEdges * scale).toInt)
@@ -140,6 +140,12 @@ object GraphGen {
       powerLawArcs(n, longTarget, spec.alpha, seed, undirected = !spec.directed)
     CompactGraph.weightedCascade(n, arcs, sortDistinct(arcs, arcs.length))
   }
+
+  /** The form with an unused `spark`, which perfbench's harness calls; it
+    * goes at the next benchmark change.
+    */
+  def dataset(spark: SparkSession, name: String, scale: Double, seed: Long): CompactGraph =
+    dataset(name, scale, seed)
 
   // ---- deterministic fixture graphs for tests --------------------------------
 

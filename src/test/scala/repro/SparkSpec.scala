@@ -4,7 +4,9 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that run Spark: one local-mode SparkSession for the
+  * whole run, started before a suite's first test, so that code taking the
+  * running context (`MRRSamplerCtx.generateSpark`) finds it.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
@@ -15,7 +17,7 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
+  override def beforeAll(): Unit = { super.beforeAll(); spark }
 }
 
 object SparkSpec {

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.diffusion.DiffusionModel
+import repro.graph.CompactGraphOps._
 import repro.graph.{CompactGraph, GraphGen}
 
 /** Relational oracle for the mRR sampler in the deterministic (p = 1) regime:

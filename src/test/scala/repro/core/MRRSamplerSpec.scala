@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Spread}
+import repro.graph.CompactGraphOps._
 import repro.graph.{CompactGraph, GraphGen, NodeQueue}
 import org.apache.commons.math3.distribution.{BinomialDistribution, ChiSquaredDistribution}
 import org.apache.commons.math3.stat.inference.ChiSquareTest
@@ -15,8 +16,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   private def freshCtx(g: CompactGraph, eta: Int, model: DiffusionModel,
                        vanilla: Boolean = false, seed: Long = 1L): MRRSamplerCtx = {
     val state = new ResidualState(g, eta)
-    new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
-                      state.inactiveNodes, state.etaI, model, vanilla, seed)
+    new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, model, vanilla, seed)
   }
 
   test("rootSize: exact division gives fixed k") {
@@ -46,7 +46,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("sampleOne is deterministic in (seed, idx)") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val state = new ResidualState(g, 20)
     val a = MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, 7L)
     val b = MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, 7L)
@@ -54,7 +54,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("sampleOne varies with idx") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val state = new ResidualState(g, 20)
     val sets = (0 until 20).map(i =>
       MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, i.toLong)._1.toSeq)
@@ -62,7 +62,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("mRR-set nodes are distinct and inactive") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val state = new ResidualState(g, 50)
     state.activate(Array(0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
     (0 until 50).foreach { i =>
@@ -114,7 +114,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  private lazy val nethept = GraphGen.dataset(spark, "nethept", scale = 0.05)
+  private lazy val nethept = GraphGen.dataset("nethept", scale = 0.05)
 
   /** Sampling inputs covering both models and both root modes, with few
     * roots and with half the residual nodes as roots (η_i = 2), on full and
@@ -122,13 +122,11 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     */
   private def inputs: Seq[(String, MRRSamplerCtx)] = {
     val g = nethept
-    val bg = spark.sparkContext.broadcast(g)
     def ctx(eta: Int, model: DiffusionModel, vanilla: Boolean, activated: Int,
             seed: Long): MRRSamplerCtx = {
       val state = new ResidualState(g, eta)
       state.activate((0 until activated).toArray)
-      new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes, state.etaI,
-                        model, vanilla, seed)
+      new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, model, vanilla, seed)
     }
     Seq(
       "IC multi-root" -> ctx(20, IC, vanilla = false, 0, 11L),
@@ -162,11 +160,20 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** `ctx`'s inputs through the pre-broadcast constructor `(spark, bg, …)`,
+    * which perfbench's trace probe calls.
+    */
+  private def viaBroadcast(ctx: MRRSamplerCtx): MRRSamplerCtx =
+    new MRRSamplerCtx(spark, spark.sparkContext.broadcast(ctx.graph), ctx.inactive,
+                      ctx.inactiveNodes, ctx.etaI, ctx.model, ctx.vanillaRoots, ctx.seedBase)
+
   test("growTo in uneven steps gives the same pool as one generateLocal") {
-    // Uneven steps, and TRIM's own doubling sizes from θ_o = 143.
+    // Uneven steps, and TRIM's own doubling sizes from θ_o = 143. The
+    // reference pool is drawn by a context built through `viaBroadcast`.
     Seq(Seq(10L, 700L, 5003L), Seq(143L, 286L, 572L, 1144L, 2288L)).foreach { steps =>
       val size = steps.last.toInt
-      inputs.zip(inputs).foreach { case ((name, ctx), (_, direct)) =>
+      val reference = inputs.map { case (name, c) => name -> viaBroadcast(c) }
+      inputs.zip(reference).foreach { case ((name, ctx), (_, direct)) =>
         steps.foreach(ctx.growTo)
         val all = direct.generateLocal(0, size)
         assert(ctx.sets.length == size, name)
@@ -221,7 +228,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](countCtx.sets)
 
     val state = new ResidualState(nethept, nethept.n / 10)
-    val ateucCtx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept),
+    val ateucCtx = new MRRSamplerCtx(nethept,
       state.inactive, state.inactiveNodes, state.etaI, IC, vanillaRoots = true, 17L)
     val res = repro.baselines.Ateuc.select(ateucCtx)
     assert(res.iterations > 1 && res.numSeeds > 1)
@@ -254,6 +261,51 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](kept.countTo(20))
   }
 
+  /** The message with which a context over a 6-node line rejects these
+    * residual inputs; `nodes` defaults to the mask's inactive nodes.
+    */
+  private def rejection(inactive: Array[Boolean], nodes: Array[Int] = null, etaI: Int = 1): String = {
+    val list = if (nodes != null) nodes else inactive.indices.filter(inactive(_)).toArray
+    intercept[IllegalArgumentException](
+      new MRRSamplerCtx(GraphGen.line(6, 0.5), inactive, list, etaI, IC, false, 1L)).getMessage
+  }
+
+  private def mask(active: Int*): Array[Boolean] = Array.tabulate(6)(v => !active.contains(v))
+
+  test("the context rejects an inactive mask whose length is not n") {
+    val msg = rejection(Array.fill(5)(true))
+    assert(msg.contains("inactive has 5 entries") && msg.contains("n = 6"), msg)
+  }
+
+  test("the context rejects a residual node outside [0, n), naming its position and value") {
+    val high = rejection(mask(), Array(0, 2, 6))
+    assert(high.contains("inactiveNodes(2) = 6 lies outside [0, n = 6)"), high)
+    val negative = rejection(mask(), Array(-1, 2))
+    assert(negative.contains("inactiveNodes(0) = -1 lies outside"), negative)
+  }
+
+  test("the context rejects an active residual node, naming its position and value") {
+    val msg = rejection(mask(3), Array(0, 1, 3, 4))
+    assert(msg.contains("inactiveNodes(2) = 3 is active"), msg)
+  }
+
+  test("the context rejects residual nodes that do not ascend strictly, naming the position and value") {
+    val descending = rejection(mask(), Array(0, 4, 2))
+    assert(descending.contains("inactiveNodes(2) = 2 does not exceed inactiveNodes(1) = 4"), descending)
+    val repeated = rejection(mask(), Array(0, 1, 1))
+    assert(repeated.contains("inactiveNodes(2) = 1 does not exceed inactiveNodes(1) = 1"), repeated)
+  }
+
+  test("the context rejects η_i outside [1, n_i], naming the value") {
+    Seq(-3, 0, 5).foreach { etaI =>
+      val msg = rejection(mask(4, 5), etaI = etaI)
+      assert(msg.contains(s"η_i = $etaI lies outside [1, n_i = 4]"), msg)
+    }
+    Seq(1, 4).foreach { etaI =>
+      new MRRSamplerCtx(GraphGen.line(6, 0.5), mask(4, 5), Array(0, 1, 2, 3), etaI, IC, false, 1L)
+    }
+  }
+
   test("a NodeQueue across its epoch wrap gives the same sets") {
     inputs.foreach { case (name, ctx) =>
       val s = new NodeQueue(nethept.n)
@@ -270,7 +322,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("ctx accounting: totalSamples and totalWork accumulate") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val ctx = freshCtx(g, 20, IC)
     ctx.growTo(10)
     val s1 = ctx.totalSamples
@@ -324,8 +376,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
       case (s, d, p) if relabel.contains(s) && relabel.contains(d) => (relabel(s), relabel(d), p)
     }
     val gRes = CompactGraph.fromEdges(4, resEdges)
-    val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
-                                state.inactiveNodes, etaI, IC, false, 31L)
+    val ctx = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, etaI, IC, false, 31L)
     val theta = 40000
     val cov = Coverage.counts(g.n, ctx.generateLocal(0, theta))
     relabel.foreach { case (orig, res) =>
@@ -342,8 +393,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val g = CompactGraph.fromEdges(3, Seq((0, 2, 0.5), (1, 2, 0.5)))
     val state = new ResidualState(g, 3)
     state.activate(Array(0))
-    val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
-                                state.inactiveNodes, state.etaI, LT, false, 37L)
+    val ctx = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, LT, false, 37L)
     // With η_i = 2 and n_i = 2, k = 1: root uniform over {1, 2}. When the root
     // is 2, the set must always include 1 (conditional probability 1).
     val sets = ctx.generateLocal(0, 4000)
@@ -429,7 +479,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   private def digests(): Seq[(String, Long, Long)] =
     for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
     yield {
-      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+      val ctx = new MRRSamplerCtx(nethept, state.inactive,
                                   state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
       val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
         h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
@@ -472,14 +522,20 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
     assert(e.getMessage == "set 7 failed")
     assert(cover(5) == thrown.get && cover.sum == thrown.get)
-    // In the sampler itself: a root candidate outside the graph fails the
-    // sets that draw it, on whichever thread draws them, after others have
-    // been counted.
-    val state = new ResidualState(nethept, 1)
-    val bg = spark.sparkContext.broadcast(nethept)
+    // In the sampler itself: a graph whose in-edges into every 50th node
+    // come from a source outside it (the graph's constructor checks only the
+    // probabilities; the context rejects bad residual input) fails the sets
+    // that reach such a node, on whichever thread draws them, after others
+    // have been counted.
+    val broken = {
+      val g = nethept
+      val srcs = Array.tabulate(g.m)(e => if (g.dsts(e) % 50 == 0) g.n + 7 else g.srcs(e))
+      new CompactGraph(g.n, srcs, g.dsts, g.probs, g.outOff, g.inOff, g.inEdge)
+    }
+    val state = new ResidualState(broken, 1)
     (1 to 10).foreach { call =>
-      val ctx = new MRRSamplerCtx(spark, bg, state.inactive, state.inactiveNodes :+ (nethept.n + 7),
-                                  1, IC, vanillaRoots = true, 61L + call)
+      val ctx = new MRRSamplerCtx(broken, state.inactive, state.inactiveNodes, 1, IC,
+                                  vanillaRoots = true, 61L + call)
       intercept[ArrayIndexOutOfBoundsException](ctx.countTo(20000))
     }
     val actual = digests()
@@ -497,7 +553,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     def runAll(order: Seq[Int], workers: Int): Map[Int, (Seq[Int], Long, Seq[Seq[Int]], Long)] =
       order.map { i =>
         val (_, c) = inputs(i)
-        def fresh() = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), c.inactive,
+        def fresh() = new MRRSamplerCtx(nethept, c.inactive,
                                          c.inactiveNodes, c.etaI, c.model, c.vanillaRoots,
                                          c.seedBase, workers)
         val counted = fresh()
@@ -523,8 +579,12 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("the sampler's pool threads are daemons and go idle after a solve") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.2)
-    Asti.run(spark, g, g.n / 10, 0.5, TrimSelector, IC, 3L)
+    val g = GraphGen.dataset("nethept", scale = 0.2)
+    val plain = Asti.run(g, g.n / 10, 0.5, TrimSelector, IC, 3L, algoSeed = 5L)
+    // The pre-broadcast form, which perfbench calls, forwards to the same solve.
+    val forwarded = Asti.run(spark, spark.sparkContext.broadcast(g), g.n / 10, 0.5, TrimSelector,
+                             IC, 3L, 5L)
+    assert(forwarded.copy(wallMillis = plain.wallMillis) == plain)
     val pool = SamplerPool.threads
     val cores = Runtime.getRuntime.availableProcessors()
     assert(pool.length <= cores - 1)
@@ -542,8 +602,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   test("vanilla RR-sets match the reference sampler's in distribution") {
     // IC and LT, fresh and residual; independent streams on the two sides.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model)) {
-      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
-                                  state.inactiveNodes, 1, model, true, 51L)
+      val ctx = new MRRSamplerCtx(nethept, state.inactive, state.inactiveNodes, 1, model, true, 51L)
       val sets = ctx.generateLocal(0, 20000)
       val ref = (0 until 20000).map(i => ReferenceSampler.sampleOne(
         nethept, state.inactive, state.inactiveNodes, 1, model, true, 57L, i)._1)
@@ -558,7 +617,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     // half the residual nodes as roots costs about 40 small ones.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model);
          (etaI, count) <- Seq(state.nI / 10 -> 20000, 2 -> 4000)) {
-      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(nethept), state.inactive,
+      val ctx = new MRRSamplerCtx(nethept, state.inactive,
                                   state.inactiveNodes, etaI, model, false, 53L)
       val sets = ctx.generateLocal(0, count)
       val ref = (0 until count).map(i => ReferenceSampler.sampleOne(
@@ -700,7 +759,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     for (act <- Seq(Array.empty[Int], activated)) {
       val state = new ResidualState(g, 2 + act.length)
       state.activate(act)
-      val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
+      val ctx = new MRRSamplerCtx(g, state.inactive,
                                   state.inactiveNodes, state.etaI, model, false, seed)
       val theta = 40000
       val cov = Coverage.counts(g.n, ctx.generateLocal(0, theta))

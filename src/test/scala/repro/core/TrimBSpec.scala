@@ -1,18 +1,16 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.diffusion.DiffusionModel
 import repro.graph.{CompactGraph, GraphGen}
 
-class TrimBSpec extends AnyFunSuite with SparkSpec {
+class TrimBSpec extends AnyFunSuite {
 
   import DiffusionModel.IC
 
   private def ctxFor(g: CompactGraph, eta: Int, seed: Long = 1L): MRRSamplerCtx = {
     val state = new ResidualState(g, eta)
-    new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
-                      state.inactiveNodes, state.etaI, IC, false, seed)
+    new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, IC, false, seed)
   }
 
   test("ρ_1 = 1") {
@@ -44,7 +42,7 @@ class TrimBSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("select returns at most b seeds") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val res = TrimB.select(ctxFor(g, 30), 0.5, b = 4)
     assert(res.seeds.length <= 4 && res.seeds.nonEmpty)
     assert(res.seeds.distinct.length == res.seeds.length)
@@ -75,7 +73,7 @@ class TrimBSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("select is deterministic for fixed seeds") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val a = TrimB.select(ctxFor(g, 20, seed = 5L), 0.5, b = 4)
     val b = TrimB.select(ctxFor(g, 20, seed = 5L), 0.5, b = 4)
     assert(a.seeds.toSeq == b.seeds.toSeq && a.samples == b.samples)

@@ -1,11 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.diffusion.DiffusionModel
 import repro.graph.{CompactGraph, GraphGen}
 
-class TrimSpec extends AnyFunSuite with SparkSpec {
+class TrimSpec extends AnyFunSuite {
 
   import DiffusionModel.{IC, LT}
 
@@ -14,7 +13,7 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
                      preActivate: Array[Int] = Array.empty): (MRRSamplerCtx, ResidualState) = {
     val state = new ResidualState(g, eta)
     if (preActivate.nonEmpty) state.activate(preActivate)
-    val ctx = new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), state.inactive,
+    val ctx = new MRRSamplerCtx(g, state.inactive,
                                 state.inactiveNodes, state.etaI, model, vanilla, seed)
     (ctx, state)
   }
@@ -48,7 +47,7 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("select returns what checking after every doubling returns (IC and LT, mRR and vanilla, b = 1 and 4)") {
-    val nethept = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val nethept = GraphGen.dataset("nethept", scale = 0.05)
     val edgeless = CompactGraph.fromEdges(40, Seq.empty)
     var skipped = 0
     for ((g, eta, pre) <- Seq((nethept, nethept.n / 10, Array.empty[Int]),
@@ -133,7 +132,7 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("select is deterministic for fixed seeds") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val a = TrimSelector.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
     val b = TrimSelector.select(ctxFor(g, 20, IC, seed = 5L)._1, 0.5)
     assert(a.seeds.toSeq == b.seeds.toSeq && a.samples == b.samples)
@@ -169,7 +168,7 @@ class TrimSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("vanilla mode needs more samples than truncated mode when η ≪ n") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.1)
+    val g = GraphGen.dataset("nethept", scale = 0.1)
     val eta = math.max(2, g.n / 20)
     val trunc = TrimSelector.select(ctxFor(g, eta, IC, seed = 9L)._1, 0.5)
     val vanilla = AdaptImSelector.select(ctxFor(g, eta, IC, vanilla = true, seed = 9L)._1, 0.5)

@@ -2,10 +2,11 @@ package repro.diffusion
 
 import org.apache.spark.graphx.{Edge, EdgeDirection, Graph => XGraph, VertexId}
 import org.apache.spark.sql.SparkSession
+import repro.diffusion.RealizationOps._
 import repro.graph.CompactGraph
 
-/** Distributed reachability over the live edges of a realization via GraphX
-  * Pregel. It must agree with the driver BFS in
+/** Test oracle: distributed reachability over the live edges of a
+  * realization via GraphX Pregel. It must agree with the driver BFS in
   * `Realization.forwardReachable`, which the tests also check against a
   * DuckDB recursive-CTE closure — the correctness anchor for the (much
   * faster) driver propagation used inside the adaptive loop.

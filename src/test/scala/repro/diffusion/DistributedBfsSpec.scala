@@ -2,6 +2,7 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
+import repro.diffusion.RealizationOps._
 import repro.graph.{CompactGraph, GraphGen}
 
 class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
@@ -12,14 +13,14 @@ class DistributedBfsSpec extends AnyFunSuite with SparkSpec {
     real.forwardReachable(seeds.toArray, null).toSet
 
   test("GraphX Pregel reachability matches driver BFS") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.02)
+    val g = GraphGen.dataset("nethept", scale = 0.02)
     val real = new Realization(g, IC, 55L)
     val viaPregel = DistributedBfs.reachableGraphX(spark, g, real, Seq(1, 7))
     assert(viaPregel == driverSet(real, Seq(1, 7)))
   }
 
   test("driver BFS matches a DuckDB recursive CTE") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.02)
+    val g = GraphGen.dataset("nethept", scale = 0.02)
     val real = new Realization(g, IC, 77L)
     import spark.implicits._
     val driverOut = driverSet(real, Seq(0, 3)).toSeq.toDF("node")

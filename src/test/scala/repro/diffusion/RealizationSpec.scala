@@ -2,6 +2,8 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.diffusion.RealizationOps._
+import repro.graph.CompactGraphOps._
 import repro.graph.{CompactGraph, GraphGen}
 import repro.util.Rng
 
@@ -126,14 +128,14 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("liveEdgesDF under LT has at most one live in-edge per node") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val r = new Realization(g, DiffusionModel.LT, 5L)
     val perNode = r.liveEdgesDF(spark).groupBy("dst").count().collect()
     assert(perNode.forall(_.getLong(1) <= 1))
   }
 
   test("realization consistency: repeated queries agree (progressive revelation)") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     val r = new Realization(g, DiffusionModel.IC, 31L)
     val full = r.forwardReachable(Array(0), null).toSet
     // Restricting to the full mask must reproduce the same set.

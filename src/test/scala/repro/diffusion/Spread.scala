@@ -2,10 +2,11 @@ package repro.diffusion
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.CompactGraph
+import repro.graph.CompactGraphOps._
 
-/** Influence spread computation: exact enumeration over the realization space
-  * (tiny graphs, used to validate estimators against ground truth), and
-  * RDD-distributed Monte-Carlo estimation.
+/** Test oracle for influence spread: exact enumeration over the realization
+  * space (tiny graphs, ground truth for the estimators), and RDD-distributed
+  * Monte-Carlo estimation.
   *
   * Exact enumeration covers both models: IC iterates edge-status bitmasks
   * (2^m realizations, §2.1), LT iterates live-edge choice vectors

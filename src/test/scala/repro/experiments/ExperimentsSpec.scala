@@ -42,8 +42,8 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Table3.runCell: ASTI reaches η and fields are consistent") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
-    val cell = Table3.runCell(spark, g, "nethept", IC, etaFrac = 0.1,
+    val g = GraphGen.dataset("nethept", scale = 0.05)
+    val cell = Table3.runCell(g, "nethept", IC, etaFrac = 0.1,
                               realizations = 2, eps = 0.5, seed = 1L)
     assert(cell.eta == (g.n * 0.1).toInt)
     assert(cell.astiAvgSeeds > 0)
@@ -72,7 +72,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("AlgoComparison runs all six algorithms on a tiny config") {
-    val rows = AlgoComparison.run(spark, "nethept", IC, etaFrac = 0.1,
+    val rows = AlgoComparison.run("nethept", IC, etaFrac = 0.1,
                                   realizations = 2, eps = 0.5, scale = 0.05, seed = 4L)
     assert(rows.map(_.algo) == Seq("ASTI", "ASTI-2", "ASTI-4", "ASTI-8", "ADAPTIM", "ATEUC"))
     // Adaptive algorithms are reliable by construction (§6.4).

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.scalacheck.{Gen, Prop, Properties}
-import repro.graph.CompactGraphOps.OutDegree
+import repro.graph.CompactGraphOps._
 
 /** ScalaCheck structural invariants of the CSR representation over random
   * edge lists.

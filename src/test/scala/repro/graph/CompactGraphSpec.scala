@@ -3,7 +3,7 @@ package repro.graph
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.diffusion.{DiffusionModel, Realization}
-import repro.graph.CompactGraphOps.OutDegree
+import repro.graph.CompactGraphOps._
 
 class CompactGraphSpec extends AnyFunSuite with SparkSpec {
 

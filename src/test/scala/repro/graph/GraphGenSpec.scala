@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.graph.CompactGraphOps.OutDegree
+import repro.graph.CompactGraphOps._
 
 class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
@@ -107,7 +107,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("dataset embeds its community cliques") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05) // s = 4
+    val g = GraphGen.dataset("nethept", scale = 0.05) // s = 4
     val arcs = (0 until g.m).map(e => (g.srcs(e), g.dsts(e))).toSet
     for (i <- 0 until 4; j <- 0 until 4 if i != j)
       assert(arcs.contains((i, j)), s"clique arc $i->$j missing")
@@ -115,14 +115,14 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
   test("dataset arc count is close to the scaled target") {
     val spec = GraphGen.datasetSpec("epinions")
-    val g = GraphGen.dataset(spark, "epinions", scale = 0.05)
+    val g = GraphGen.dataset("epinions", scale = 0.05)
     val target = (spec.targetEdges * 0.05).toInt
     assert(g.m <= target * 1.05, s"m=${g.m} target=$target")
     assert(g.m >= target * 0.7, s"m=${g.m} target=$target")
   }
 
   test("dataset hub share is bounded") {
-    val g = GraphGen.dataset(spark, "epinions", scale = 0.1)
+    val g = GraphGen.dataset("epinions", scale = 0.1)
     val maxOut = (0 until g.n).map(g.outDeg).max
     assert(maxOut.toDouble / g.m < 0.1, s"hub share=${maxOut.toDouble / g.m}")
   }
@@ -144,7 +144,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("dataset at small scale builds a weighted-cascade graph") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.05)
+    val g = GraphGen.dataset("nethept", scale = 0.05)
     assert(g.n == 760)
     assert(g.m > 0)
     // Weighted cascade: in-probabilities of any node with indeg>0 sum to 1.
@@ -153,13 +153,13 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("dataset scale shrinks node and edge counts") {
-    val small = GraphGen.dataset(spark, "nethept", scale = 0.05)
-    val larger = GraphGen.dataset(spark, "nethept", scale = 0.1)
+    val small = GraphGen.dataset("nethept", scale = 0.05)
+    val larger = GraphGen.dataset("nethept", scale = 0.1)
     assert(larger.n > small.n && larger.m > small.m)
   }
 
   test("undirected dataset has symmetric arcs") {
-    val g = GraphGen.dataset(spark, "youtube", scale = 0.02)
+    val g = GraphGen.dataset("youtube", scale = 0.02)
     val arcs = (0 until g.m).map(e => (g.srcs(e), g.dsts(e))).toSet
     assert(arcs.forall { case (a, b) => arcs.contains((b, a)) })
   }
@@ -170,7 +170,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     val cases = GraphGen.datasets.map(_.name -> 0.05) :+ ("nethept" -> 1.0)
     try for (partitions <- Seq(16, 64); (name, scale) <- cases) {
       spark.conf.set(key, partitions.toLong)
-      val g = GraphGen.dataset(spark, name, scale)
+      val g = GraphGen.dataset(name, scale)
       val ref = ReferenceGraphGen.dataset(spark, name, scale)
       val clue = s"$name ×$scale, $partitions partitions"
       assertSameArrays(g, ref, clue)
@@ -179,7 +179,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
   test("dataset numbers edges in ascending (src, dst) order") {
     for (spec <- GraphGen.datasets) {
-      val g = GraphGen.dataset(spark, spec.name, scale = 0.05)
+      val g = GraphGen.dataset(spec.name, scale = 0.05)
       val keys = (0 until g.m).map(e => g.srcs(e).toLong * g.n + g.dsts(e))
       assert(keys.sliding(2).forall(p => p(0) < p(1)), spec.name)
     }
@@ -225,8 +225,9 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("dataset launches no Spark job, and two calls return identical arrays") {
-    val (a, jobsA) = jobsDuring(GraphGen.dataset(spark, "nethept", scale = 0.05))
-    val (b, jobsB) = jobsDuring(GraphGen.dataset(spark, "nethept", scale = 0.05))
+    val (a, jobsA) = jobsDuring(GraphGen.dataset("nethept", 0.05, 7L))
+    // The second call goes through the form with `spark`, which perfbench calls.
+    val (b, jobsB) = jobsDuring(GraphGen.dataset(spark, "nethept", 0.05, 7L))
     val (_, refJobs) = jobsDuring(ReferenceGraphGen.dataset(spark, "nethept", scale = 0.05))
     assert(refJobs > 0, "the listener counts the reference pipeline's jobs")
     assert(jobsA == 0 && jobsB == 0, s"jobs: $jobsA, $jobsB")

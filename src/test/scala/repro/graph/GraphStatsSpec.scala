@@ -2,7 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
-import repro.graph.CompactGraphOps.OutDegree
+import repro.graph.CompactGraphOps._
 
 class GraphStatsSpec extends AnyFunSuite with SparkSpec {
 
@@ -33,7 +33,7 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
 
   test("degreesDF matches CSR degrees") {
     val g = GraphGen.fig2
-    val byNode = GraphStats.degreesDF(spark, g).collect()
+    val byNode = g.degreesDF(spark).collect()
       .map(r => r.getInt(0) -> (r.getLong(1), r.getLong(2))).toMap
     (0 until g.n).foreach { v =>
       assert(byNode(v) == (g.outDeg(v).toLong, g.inDeg(v).toLong), s"node $v")
@@ -46,7 +46,7 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
     val edges = g.edgesDF(spark)
     import spark.implicits._
     val nodes = spark.range(g.n).selectExpr("cast(id as int) as node")
-    val sparkOut = GraphStats.degreesDF(spark, g)
+    val sparkOut = g.degreesDF(spark)
       .selectExpr("node", "cast(outDeg as long) as outdeg", "cast(inDeg as long) as indeg")
     Oracle.assertEquivalent(
       sparkOut,
@@ -92,7 +92,7 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("generated datasets are dominated by one large WCC") {
-    val g = GraphGen.dataset(spark, "nethept", scale = 0.2)
+    val g = GraphGen.dataset("nethept", scale = 0.2)
     val lwcc = lwccSizeLocal(g)
     // Power-law graphs at this density keep a large component, mirroring
     // the paper's "highly interconnected" observation (Table 2).
