@@ -29,8 +29,10 @@ import scala.collection.immutable.ArraySeq
   * and counted on the driver by the calling thread and the helper threads of
   * `SamplerPool`, up to one per core, each claiming chunks of the index range
   * from a shared cursor (`MRRSamplerCtx.growTo`, `countTo` and
-  * `generateLocal`); the RDD fan-out (`generateSpark`) runs the same kernel
-  * and is kept as the reference the two are tested byte-identical against.
+  * `generateLocal`). One caller at a time holds the helpers and merges their
+  * counts; a concurrent caller samples alone. The RDD fan-out
+  * (`generateSpark`) runs the same kernel and is kept as the reference the
+  * two are tested byte-identical against.
   */
 object MRRSampler {
 
@@ -229,8 +231,10 @@ object MRRSampler {
   * every set (TRIM-B's greedy and ATEUC read them), `countTo` keeps only the
   * counts (TRIM and AdaptIM pick the argmax). Either way the calling thread
   * counts the sets it draws straight into `counts`, and each helper into its
-  * own n-sized array, merged into `counts` stripe by stripe when the call
-  * ends. `workers` caps the threads one call uses, the caller included.
+  * own n-sized array, which the caller adds into `counts` once every
+  * participant has drawn. `workers` caps the threads one call uses, the
+  * caller included; a call made while another thread holds the helpers uses
+  * the caller alone.
   *
   * The constructor rejects a residual state the kernel cannot draw from,
   * naming the position and value: a mask whose length is not n, a node list
@@ -337,7 +341,8 @@ final class MRRSamplerCtx(
   /** Draw sets `[from, from + count)` on the driver, set i into
     * `out(i - from)` unless `out` is null, and count them into `cover`
     * unless it is null. The caller and up to `workers` − 1 helpers of
-    * `SamplerPool` (at most one participant per `MinBlock` sets), each with
+    * `SamplerPool` (at most one participant per `MinBlock` sets, and no
+    * helper while another caller holds them), each with
     * its own `NodeQueue`, claim chunks of indices from a shared cursor until
     * the range is used up. A chunk is half of what is left per participant,
     * so chunks shrink to single sets at the end and the participants finish

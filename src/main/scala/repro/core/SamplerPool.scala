@@ -2,152 +2,92 @@ package repro.core
 
 import repro.graph.NodeQueue
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicLong, AtomicReference}
 import java.util.concurrent.locks.LockSupport
 
 /** The driver sampler's helper threads: at most cores − 1 daemon threads,
-  * started on first use and kept for the life of the JVM. Each owns a
-  * `NodeQueue` and an n-sized count array, so a call allocates neither.
+  * started on first use and kept for the life of the JVM, each owning a
+  * `NodeQueue` and, once it has counted, an n-sized count array. TRIM calls
+  * the sampler several times per round, tens of microseconds apart, and a
+  * fresh fork-join per call cost more than a small call's sampling, so a
+  * helper that finishes a job spins for `SpinNanos` waiting for the next
+  * one, then parks: the pool takes no CPU between solves.
   *
-  * TRIM calls the sampler several times per round, tens of microseconds
-  * apart, and a fresh fork-join per call cost more than a small call's
-  * sampling. A helper that finishes a job therefore spins for `SpinNanos`
-  * waiting for the next one, then parks, so the pool takes no CPU between
-  * solves.
-  *
-  * Concurrent callers share the pool: each takes the helpers that are idle,
-  * and a caller that finds none samples alone. The output never depends on
-  * how many helpers a call got.
+  * One caller at a time holds the helpers; a caller that finds them held
+  * samples alone. The output never depends on how many helpers a call got.
   */
 private[core] object SamplerPool {
 
   /** How long an idle helper waits for its next job before it parks. */
   private val SpinNanos = 1000000L
 
-  /** Nodes per merge stripe: 16 KB of each count array. */
-  private val Stripe = 4096
-
-  private val maxHelpers = Runtime.getRuntime.availableProcessors() - 1
-  private val idle = new java.util.ArrayDeque[Helper]()
-  private val started = scala.collection.mutable.ArrayBuffer.empty[Helper]
+  private val pool = new Array[Helper](Runtime.getRuntime.availableProcessors() - 1)
+  /** Helpers started so far: `pool(0 until started)`. */
+  @volatile private var started = 0
+  private val held = new AtomicBoolean(false)
 
   /** Every helper started so far. */
-  def threads: Seq[Thread] = synchronized(started.toList)
+  def threads: Seq[Thread] = pool.take(started).toSeq
 
   /** Run `drain` on the calling thread and on up to `helpers` pool threads,
     * and return the sum of what they return. `drain(queue, counts)` claims
-    * work from a cursor it shares with the other participants and counts
-    * every set it draws into `counts`. The caller counts into `cover`
-    * directly; each helper counts into its own array, and once every
-    * participant has drained, they all add the helpers' arrays into `cover`
-    * stripe by stripe, zeroing them as they go. With `cover` null nothing
-    * is counted. A failure in any participant is thrown here, after the
-    * merge, so the helpers' arrays are zero again either way.
+    * work from a shared cursor and counts every set it draws into `counts`:
+    * the caller into `cover`, each helper into its own array, which the
+    * caller adds into `cover` and zeroes once every participant has drained
+    * (with `cover` null nothing is counted). A failure in any participant is
+    * thrown after that merge, so the helpers' arrays are zero either way.
     */
   def run(helpers: Int, n: Int, cover: Array[Int], own: NodeQueue,
           drain: (NodeQueue, Array[Int]) => Long): Long = {
-    val hs = if (helpers > 0) acquire(helpers) else Array.empty[Helper]
-    if (hs.isEmpty) return drain(own, cover)
-    val job = new Job(hs.length, n, cover, drain)
-    var i = 0
-    while (i < hs.length) { hs(i).post(job, i); i += 1 }
-    job.sample(own, cover)
-    // A helper that has not taken the job yet is not waited for.
-    i = 0
-    while (i < hs.length) {
-      if (hs(i).mailbox.compareAndSet(job, null)) job.draining.decrementAndGet()
-      i += 1
-    }
-    job.finish()
-    // Once every stripe is merged no helper touches `cover`, `out` or its
-    // own counts for this job again, so it may take the next one.
-    await(job.merged.get == job.stripes)
-    release(hs)
-    val failure = job.failure.get
-    if (failure != null) throw failure
-    job.work.get
+    val k = math.min(helpers, pool.length)
+    if (k <= 0 || !held.compareAndSet(false, true)) return drain(own, cover)
+    try {
+      while (started < k) { pool(started) = new Helper(started); pool(started).start(); started += 1 }
+      val job = new Job(k, n, cover, drain)
+      for (i <- 0 until k) pool(i).post(job)
+      job.sample(own, cover)
+      // A helper that has not taken the job yet is not waited for.
+      for (i <- 0 until k if pool(i).mailbox.compareAndSet(job, null)) job.draining.decrementAndGet()
+      var spins = 0
+      while (job.draining.get != 0) { if (spins < 1000) Thread.onSpinWait() else Thread.`yield`(); spins += 1 }
+      for (c <- job.counts if c != null) {
+        var v = 0
+        while (v < n) { cover(v) += c(v); c(v) = 0; v += 1 }
+      }
+      val failure = job.failure.get
+      if (failure != null) throw failure
+      job.work.get
+    } finally held.set(false)
   }
 
-  private def acquire(k: Int): Array[Helper] = synchronized {
-    val out = scala.collection.mutable.ArrayBuffer.empty[Helper]
-    while (out.length < k && !idle.isEmpty) out += idle.pop()
-    while (out.length < k && started.length < maxHelpers) {
-      val h = new Helper(started.length)
-      started += h
-      h.start()
-      out += h
-    }
-    out.toArray
-  }
-
-  private def release(hs: Array[Helper]): Unit = synchronized { hs.foreach(idle.push) }
-
-  /** Spin until `done`, yielding the core after the first thousand tries. */
-  private def await(done: => Boolean): Unit = {
-    var spins = 0
-    while (!done) {
-      if (spins < 1000) { Thread.onSpinWait(); spins += 1 } else Thread.`yield`()
-    }
-  }
-
-  /** One call: its participants, its count arrays and its merge cursor. */
+  /** One call: its helpers still drawing, their counts, its work. */
   private final class Job(helpers: Int, n: Int, cover: Array[Int],
                           drain: (NodeQueue, Array[Int]) => Long) {
-    /** Participants still drawing, helpers not yet skipped included. */
-    val draining = new AtomicInteger(helpers + 1)
-    val stripes: Int = if (cover == null) 0 else (n + Stripe - 1) / Stripe
-    /** Stripes merged so far. */
-    val merged = new AtomicInteger(0)
-    /** Each joined helper's counts, set before it stops drawing. */
+    /** Helpers still drawing, those not yet skipped included. */
+    val draining = new AtomicInteger(helpers)
+    /** Helper i's counts, set before it stops drawing if it joined. */
     val counts = new Array[Array[Int]](helpers)
     val work = new AtomicLong(0L)
     val failure = new AtomicReference[Throwable]()
-    private val nextStripe = new AtomicInteger(0)
 
     def sample(q: NodeQueue, into: Array[Int]): Unit =
       try work.addAndGet(drain(q, into))
       catch { case e: Throwable => failure.compareAndSet(null, e) }
 
-    /** Stop drawing, wait for every other participant to stop, then merge
-      * stripes until none is left.
-      */
-    def finish(): Unit = {
-      draining.decrementAndGet()
-      await(draining.get == 0)
-      var stripe = nextStripe.getAndIncrement()
-      while (stripe < stripes) {
-        val lo = stripe * Stripe
-        val hi = math.min(n, lo + Stripe)
-        var h = 0
-        while (h < helpers) {
-          val c = counts(h)
-          if (c != null) {
-            var v = lo
-            while (v < hi) { cover(v) += c(v); c(v) = 0; v += 1 }
-          }
-          h += 1
-        }
-        merged.incrementAndGet()
-        stripe = nextStripe.getAndIncrement()
-      }
-    }
-
-    def help(h: Helper, index: Int): Unit = {
+    def help(h: Helper): Unit =
       try {
-        if (cover != null) counts(index) = h.countsFor(n)
-        sample(h.queueFor(n), counts(index))
+        if (cover != null) counts(h.id) = h.countsFor(n)
+        sample(h.queueFor(n), counts(h.id))
       } catch { case e: Throwable => failure.compareAndSet(null, e) }
-      finish()
-    }
+      finally draining.decrementAndGet()
   }
 
-  private final class Helper(id: Int) extends Thread(s"mrr-sampler-$id") {
+  /** `pool(id)`, and every job's `id`-th helper. */
+  private final class Helper(val id: Int) extends Thread(s"mrr-sampler-$id") {
     setDaemon(true)
 
     val mailbox = new AtomicReference[Job]()
     @volatile private var parked = false
-    /** This helper's index in the job it is posted to; written before the post. */
-    private var index = 0
     private var queue: NodeQueue = _
     private var queueN = -1
     private var counts: Array[Int] = _
@@ -163,8 +103,7 @@ private[core] object SamplerPool {
       counts
     }
 
-    def post(job: Job, i: Int): Unit = {
-      index = i
+    def post(job: Job): Unit = {
       mailbox.set(job)
       if (parked) LockSupport.unpark(this)
     }
@@ -175,7 +114,7 @@ private[core] object SamplerPool {
         val job = mailbox.get()
         if (job != null) {
           if (mailbox.compareAndSet(job, null)) {
-            job.help(this, index)
+            job.help(this)
             since = System.nanoTime()
           }
         } else if (System.nanoTime() - since < SpinNanos) Thread.onSpinWait()

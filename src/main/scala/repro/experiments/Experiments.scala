@@ -10,11 +10,25 @@ import repro.util.Rng
 /** Shared configuration for the evaluation harnesses. Scale and realization
   * count default to the mini-scale grid of DESIGN.md §5 and are overridable
   * via environment (the paper used full SNAP datasets and 20 realizations);
-  * ε is the paper's 0.5.
+  * ε is the paper's 0.5. A value that is not a positive number is rejected,
+  * naming the variable and the value.
   */
 object ExpConfig {
-  def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
-  def realizations: Int = sys.env.get("REPRO_REALIZATIONS").map(_.toInt).getOrElse(3)
+  def scale: Double = positive(sys.env, "REPRO_SCALE", 1.0)(_.toDouble)
+  def realizations: Int = positive(sys.env, "REPRO_REALIZATIONS", 3)(_.toInt)
+
+  /** `env(name)` parsed by `parse`, or `default` where `env` has no `name`;
+    * a value that does not parse or is not positive fails, naming both.
+    */
+  private[experiments] def positive[T](env: Map[String, String], name: String, default: T)
+                                      (parse: String => T)(implicit num: Numeric[T]): T =
+    env.get(name).fold(default) { raw =>
+      val value = try parse(raw.trim) catch {
+        case _: NumberFormatException => throw new IllegalArgumentException(s"$name = $raw is not a number")
+      }
+      require(num.gt(value, num.zero), s"$name = $raw must be positive")
+      value
+    }
   val eps = 0.5
   val graphSeed = 42L
 
@@ -99,6 +113,7 @@ object Table3 {
 
   def runCell(g: CompactGraph, dataset: String, model: DiffusionModel, etaFrac: Double,
               realizations: Int, eps: Double, seed: Long): Cell = {
+    require(realizations >= 1, s"realizations = $realizations must be at least 1")
     val eta = math.max(1, (g.n * etaFrac).toInt)
     val ateuc = Ateuc.select(g, eta, model, Rng.state(seed, 1L))
     var feasible = 0
@@ -160,6 +175,7 @@ object AlgoComparison {
   def run(dataset: String, model: DiffusionModel, etaFrac: Double,
           realizations: Int = ExpConfig.realizations, eps: Double = ExpConfig.eps,
           scale: Double = ExpConfig.scale, seed: Long = 99L): Seq[Row] = {
+    require(realizations >= 1, s"realizations = $realizations must be at least 1")
     val g = GraphGen.dataset(dataset, scale, ExpConfig.graphSeed)
     val eta = math.max(1, (g.n * etaFrac).toInt)
     val adaptive: Seq[Selector] =

@@ -19,8 +19,14 @@ package repro.graph
   * derives the reverse sampler's arrays once per graph: `inSrc` (4m bytes),
   * `sharedP` (8n), `icCdfOff` (4n) and IC's tables `icCdf` (d doubles per
   * table, one table per distinct in-degree under weighted cascade: 4,557
-  * doubles on nethept). Every probability must lie in [0, 1]; the
-  * constructor rejects any other, naming the edge.
+  * doubles on nethept).
+  *
+  * The constructor rejects arrays that are not such a CSR, naming the first
+  * bad entry: lengths other than m for `srcs`, `dsts`, `probs` and `inEdge`
+  * and n + 1 for the offsets; an endpoint outside [0, n); edges out of
+  * (src, dst) order; a probability outside [0, 1]; an `outOff` entry other
+  * than the number of edges whose source lies below it; and `inOff` and
+  * `inEdge` that do not list each node's in-edges in ascending id order.
   */
 final class CompactGraph(
     val n: Int,
@@ -34,7 +40,7 @@ final class CompactGraph(
 
   def m: Int = srcs.length
 
-  CompactGraph.requireProbs(this)
+  CompactGraph.requireCsr(this)
 
   def inDeg(v: Int): Int = inOff(v + 1) - inOff(v)
 
@@ -129,13 +135,54 @@ object CompactGraph {
   // not in the constructor body: HotSpot ran the same loops there several
   // times slower, which showed in the graph set-up time.
 
-  private def requireProbs(g: CompactGraph): Unit = {
+  /** The checks the class scaladoc lists, in its order. */
+  private def requireCsr(g: CompactGraph): Unit = {
+    import g.{m, n, srcs, dsts, probs, outOff, inOff, inEdge}
+    def bad(why: String): Nothing = throw new IllegalArgumentException(s"requirement failed: $why")
+    if (n < 0 || dsts.length != m || probs.length != m || inEdge.length != m ||
+        outOff.length != n + 1 || inOff.length != n + 1)
+      bad(s"array lengths do not fit n = $n and m = srcs.length = $m: dsts ${dsts.length}, " +
+          s"probs ${probs.length} and inEdge ${inEdge.length} must be m; " +
+          s"outOff ${outOff.length} and inOff ${inOff.length} must be n + 1")
     var e = 0
-    while (e < g.m) {
-      val p = g.probs(e)
-      require(p >= 0 && p <= 1,
-        s"edge $e (${g.srcs(e)} -> ${g.dsts(e)}) has probability $p outside [0, 1]")
+    while (e < m) {
+      val (src, dst) = (srcs(e), dsts(e))
+      if (src < 0 || src >= n || dst < 0 || dst >= n)
+        bad(s"edge $e ($src -> $dst) has a node outside [0, n = $n)")
+      if (e > 0 && (srcs(e - 1) > src || srcs(e - 1) == src && dsts(e - 1) > dst))
+        bad(s"edge $e ($src -> $dst) follows edge ${e - 1} (${srcs(e - 1)} -> ${dsts(e - 1)}); " +
+            "edges must be in (src, dst) order")
+      val p = probs(e)
+      if (!(p >= 0 && p <= 1)) bad(s"edge $e ($src -> $dst) has probability $p outside [0, 1]")
       e += 1
+    }
+    var v = 0
+    e = 0
+    while (v <= n) {
+      while (e < m && srcs(e) < v) e += 1
+      if (outOff(v) != e) bad(s"outOff($v) = ${outOff(v)}, but the edges with a source below $v number $e")
+      v += 1
+    }
+    if (inOff(0) != 0 || inOff(n) != m)
+      bad(s"inOff(0) = ${inOff(0)} and inOff($n) = ${inOff(n)} must be 0 and m = $m")
+    // Each slot holds an edge into its node, ascending within the node: so
+    // `inEdge` is a permutation and each node's range holds all its in-edges.
+    v = 0
+    while (v < n) {
+      val (from, until) = (inOff(v), inOff(v + 1))
+      if (until < from || until > m)
+        bad(s"inOff(${v + 1}) = $until lies outside [inOff($v) = $from, m = $m]")
+      var i = from
+      while (i < until) {
+        val edge = inEdge(i)
+        if (edge < 0 || edge >= m || dsts(edge) != v)
+          bad(s"inEdge($i) = $edge is not an edge into node $v, whose in-edges inOff puts at [$from, $until)")
+        if (i > from && inEdge(i - 1) >= edge)
+          bad(s"inEdge($i) = $edge does not exceed inEdge(${i - 1}) = ${inEdge(i - 1)}; " +
+              s"node $v's in-edges must ascend")
+        i += 1
+      }
+      v += 1
     }
   }
 

@@ -126,10 +126,11 @@ object GraphGen {
 
   /** Generate a dataset as a weighted-cascade CompactGraph: community cliques
     * plus power-law long-range edges up to the target arc count. `scale`
-    * shrinks or grows both n and the arc target. Edge ids follow (src, dst)
-    * order.
+    * shrinks or grows both n and the arc target, and must be positive. Edge
+    * ids follow (src, dst) order.
     */
   def dataset(name: String, scale: Double = 1.0, seed: Long = 42): CompactGraph = {
+    require(scale > 0, s"scale = $scale must be positive")
     val spec = datasetSpec(name)
     val n = math.max(16, (spec.n * scale).toInt)
     val targetArcs = math.max(16, (spec.targetEdges * scale).toInt)

@@ -522,15 +522,16 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
     assert(e.getMessage == "set 7 failed")
     assert(cover(5) == thrown.get && cover.sum == thrown.get)
-    // In the sampler itself: a graph whose in-edges into every 50th node
-    // come from a source outside it (the graph's constructor checks only the
-    // probabilities; the context rejects bad residual input) fails the sets
-    // that reach such a node, on whichever thread draws them, after others
-    // have been counted.
+    // In the sampler itself: a copy of nethept whose in-edges into every
+    // 50th node get a source outside the graph, written into `inSrc` after
+    // the constructor's checks (the context rejects bad residual input),
+    // fails the sets that reach such a node, on whichever thread draws
+    // them, after others have been counted.
     val broken = {
       val g = nethept
-      val srcs = Array.tabulate(g.m)(e => if (g.dsts(e) % 50 == 0) g.n + 7 else g.srcs(e))
-      new CompactGraph(g.n, srcs, g.dsts, g.probs, g.outOff, g.inOff, g.inEdge)
+      val copy = new CompactGraph(g.n, g.srcs, g.dsts, g.probs, g.outOff, g.inOff, g.inEdge)
+      for (v <- 0 until g.n by 50; i <- g.inOff(v) until g.inOff(v + 1)) copy.inSrc(i) = g.n + 7
+      copy
     }
     val state = new ResidualState(broken, 1)
     (1 to 10).foreach { call =>
@@ -593,6 +594,9 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val mx = java.lang.management.ManagementFactory.getThreadMXBean
     assume(mx.isThreadCpuTimeSupported)
     def cpu(): Long = pool.map(t => math.max(0L, mx.getThreadCpuTime(t.getId))).sum
+    // A helper spins for 1 ms after its last job before it parks: take the
+    // baseline once that window has passed.
+    Thread.sleep(50)
     val before = cpu()
     Thread.sleep(200)
     val busy = cpu() - before

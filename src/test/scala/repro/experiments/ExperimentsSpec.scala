@@ -16,6 +16,26 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     assert(ExpConfig.fracsFor("nethept") == ExpConfig.largeEtaFracs)
   }
 
+  test("a non-positive or unparsable scale or realization count is rejected, naming it and its value") {
+    def rejection(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
+    val env = Map("REPRO_SCALE" -> "-0.5", "REPRO_REALIZATIONS" -> "0", "X" -> "many")
+    assert(rejection(ExpConfig.positive(env, "REPRO_SCALE", 1.0)(_.toDouble))
+             .contains("REPRO_SCALE = -0.5 must be positive"))
+    assert(rejection(ExpConfig.positive(env, "REPRO_REALIZATIONS", 3)(_.toInt))
+             .contains("REPRO_REALIZATIONS = 0 must be positive"))
+    assert(rejection(ExpConfig.positive(env, "X", 3)(_.toInt)).contains("X = many is not a number"))
+    assert(rejection(ExpConfig.positive(Map("S" -> "NaN"), "S", 1.0)(_.toDouble)).contains("S = NaN"))
+    assert(ExpConfig.positive(Map("S" -> " 0.25"), "S", 1.0)(_.toDouble) == 0.25)
+    assert(ExpConfig.positive(Map.empty, "REPRO_REALIZATIONS", 3)(_.toInt) == 3)
+    // The same values passed to the runners directly.
+    assert(rejection(GraphGen.dataset("nethept", scale = 0.0)).contains("scale = 0.0 must be positive"))
+    val g = GraphGen.dataset("nethept", scale = 0.05)
+    assert(rejection(Table3.runCell(g, "nethept", IC, 0.1, realizations = 0, eps = 0.5, seed = 1L))
+             .contains("realizations = 0 must be at least 1"))
+    assert(rejection(AlgoComparison.run("nethept", IC, 0.1, realizations = 0, scale = 0.05))
+             .contains("realizations = 0 must be at least 1"))
+  }
+
   /** One Table 2 run at scale 0.05, shared by the Table 2 tests. */
   private lazy val table2 = Table2.run(spark, scale = 0.05)
 

@@ -166,6 +166,65 @@ class CompactGraphSpec extends AnyFunSuite with SparkSpec {
     new CompactGraph(3, Array(0, 1), Array(2, 2), Array(0.0, 1.0), Array(0, 1, 2, 2), Array(0, 0, 0, 2), Array(0, 1))
   }
 
+  /** The CSR of 0 -> 2 and 1 -> 2, with any array replaced. */
+  private def csr(n: Int = 3, srcs: Array[Int] = Array(0, 1), dsts: Array[Int] = Array(2, 2),
+                  probs: Array[Double] = Array(0.5, 0.5), outOff: Array[Int] = Array(0, 1, 2, 2),
+                  inOff: Array[Int] = Array(0, 0, 0, 2), inEdge: Array[Int] = Array(0, 1)): CompactGraph =
+    new CompactGraph(n, srcs, dsts, probs, outOff, inOff, inEdge)
+
+  private def rejection(graph: => CompactGraph): String =
+    intercept[IllegalArgumentException](graph).getMessage
+
+  test("the constructor rejects arrays whose lengths do not fit n and m, naming them") {
+    assert(csr().m == 2)
+    val short = rejection(csr(dsts = Array(2)))
+    assert(short.contains("array lengths") && short.contains("dsts 1"), short)
+    assert(rejection(csr(inEdge = Array(0))).contains("inEdge 1"))
+    assert(rejection(csr(outOff = Array(0, 1, 2))).contains("outOff 3"))
+    assert(rejection(csr(n = 4)).contains("n = 4"))
+  }
+
+  test("the constructor rejects an endpoint outside [0, n), naming the edge") {
+    val src = rejection(csr(srcs = Array(0, 3)))
+    assert(src.contains("edge 1 (3 -> 2)") && src.contains("outside [0, n = 3)"), src)
+    assert(rejection(csr(dsts = Array(-1, 2))).contains("edge 0 (0 -> -1)"))
+  }
+
+  test("the constructor rejects edges out of (src, dst) order, naming the edge") {
+    val bySrc = rejection(csr(srcs = Array(1, 0)))
+    assert(bySrc.contains("edge 1 (0 -> 2) follows edge 0 (1 -> 2)"), bySrc)
+    val byDst = rejection(csr(n = 4, srcs = Array(0, 0), dsts = Array(3, 2), outOff = Array(0, 2, 2, 2, 2),
+                              inOff = Array(0, 0, 0, 1, 2), inEdge = Array(1, 0)))
+    assert(byDst.contains("edge 1 (0 -> 2) follows edge 0 (0 -> 3)"), byDst)
+    // Parallel edges are in order.
+    assert(csr(srcs = Array(0, 0), outOff = Array(0, 2, 2, 2)).inDeg(2) == 2)
+  }
+
+  test("the constructor rejects out-offsets that disagree with the edges, naming the entry") {
+    val inner = rejection(csr(outOff = Array(0, 2, 2, 2)))
+    assert(inner.contains("outOff(1) = 2, but the edges with a source below 1 number 1"), inner)
+    val last = rejection(csr(outOff = Array(0, 1, 2, 3)))
+    assert(last.contains("outOff(3) = 3, but the edges with a source below 3 number 2"), last)
+  }
+
+  test("the constructor rejects in-offsets that disagree with the edges, naming the entry") {
+    val end = rejection(csr(inOff = Array(0, 0, 0, 1)))
+    assert(end.contains("inOff(3) = 1 must be 0 and m = 2"), end)
+    val past = rejection(csr(inOff = Array(0, 3, 1, 2)))
+    assert(past.contains("inOff(1) = 3 lies outside [inOff(0) = 0, m = 2]"), past)
+    val shifted = rejection(csr(inOff = Array(0, 0, 1, 2)))
+    assert(shifted.contains("inEdge(0) = 0 is not an edge into node 1, whose in-edges inOff puts at [0, 1)"),
+           shifted)
+  }
+
+  test("the constructor rejects in-edges out of ascending id order, naming the slot") {
+    val swapped = rejection(csr(inEdge = Array(1, 0)))
+    assert(swapped.contains("inEdge(1) = 0 does not exceed inEdge(0) = 1; node 2's in-edges must ascend"),
+           swapped)
+    assert(rejection(csr(inEdge = Array(0, 0))).contains("inEdge(1) = 0 does not exceed inEdge(0) = 0"))
+    assert(rejection(csr(inEdge = Array(0, 5))).contains("inEdge(1) = 5 is not an edge into node 2"))
+  }
+
   test("edgesDF round-trips the edge list") {
     val rows = triangle.edgesDF(spark).collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
     assert(rows.toSet == Set((0, 1, 0.5), (1, 2, 0.3), (2, 0, 0.9)))
