@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{MRRSamplerCtx, ResidualState}
+import repro.core.{MRRSamplerCtx, ResidualState, SamplerFixtures}
 import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.{CompactGraph, GraphGen}
 
@@ -26,7 +26,9 @@ class SamplerBench extends AnyFunSuite {
 
   private val Reps = 7
 
-  /** The fresh mask and one where cascades from random seeds activated 5%. */
+  /** The fresh mask and one where cascades from random seeds activated 5%,
+    * each at η_i = max(1, n_i/10).
+    */
   private def masks(g: CompactGraph, model: DiffusionModel): Seq[(String, ResidualState)] = {
     val residual = new ResidualState(g, 1)
     val rnd = new scala.util.Random(47)
@@ -36,7 +38,9 @@ class SamplerBench extends AnyFunSuite {
       residual.activate(real.forwardReachable(Array(rnd.nextInt(g.n)), residual.inactive))
       r += 1
     }
-    Seq("fresh" -> new ResidualState(g, 1), "5% active" -> residual)
+    Seq("fresh" -> new ResidualState(g, 1), "5% active" -> residual).map { case (name, state) =>
+      name -> SamplerFixtures.withEtaI(state, math.max(1, state.nI / 10))
+    }
   }
 
   /** Median seconds of `f` over `Reps` passes, after two untimed ones. */
@@ -58,8 +62,7 @@ class SamplerBench extends AnyFunSuite {
     for (model <- Seq(IC, LT); (mask, state) <- masks(g, model); vanilla <- Seq(false, true)) {
       val count = if (vanilla) 200000 else 20000
       def ctx(workers: Int = cores) =
-        new MRRSamplerCtx(g, state.inactive, state.inactiveNodes,
-                          math.max(1, state.nI / 10), model, vanilla, 5L, workers)
+        new MRRSamplerCtx(state, model, vanilla, 5L, workers)
       val nodes = ctx().generateLocal(0, count).iterator.map(_.length.toLong).sum
       val counted = { val c = ctx(); c.countTo(count); c.counts.iterator.map(_.toLong).sum }
       assert(counted == nodes, s"$model $mask: counted $counted nodes, the pool holds $nodes")
@@ -76,9 +79,8 @@ class SamplerBench extends AnyFunSuite {
       }
     }
 
-    val state = new ResidualState(g, 1)
-    def fresh() = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes,
-                                    math.max(1, state.nI / 10), IC, false, 5L)
+    val state = new ResidualState(g, math.max(1, g.n / 10))
+    def fresh() = new MRRSamplerCtx(state, IC, false, 5L)
     val calls = 2000
     val small = median(() => (1 to calls).foreach(_ => fresh().countTo(143)))
     val large = median(() => fresh().countTo(143L * calls))

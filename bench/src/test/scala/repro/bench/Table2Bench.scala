@@ -11,12 +11,8 @@ class Table2Bench extends AnyFunSuite with SparkSpec {
 
   test("Table 2: dataset statistics") {
     val rows = Table2.run(spark)
-    println(s"\n=== Table 2 (synthetic substitutes, scale=${ExpConfig.scale}) ===")
-    println(Table2.format(rows))
-    println("--- paper values (full-scale SNAP datasets) ---")
-    Table2.paper.foreach { case (n, nn, mm, t, d, l) =>
-      println(f"$n%-12s $nn%8s $mm%9s $t%-10s $d%7s $l%8s")
-    }
+    println()
+    Table2.report(rows, ExpConfig.scale)
 
     // Shape assertions mirroring what the paper reads off Table 2.
     val byName = rows.map(r => r.name -> r).toMap

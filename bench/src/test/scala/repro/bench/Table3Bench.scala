@@ -15,12 +15,8 @@ class Table3Bench extends AnyFunSuite {
 
   test("Table 3: ASTI vs ATEUC improvement ratio grid") {
     val cells = Table3.run()
-    println(s"\n=== Table 3 (scale=${ExpConfig.scale}, R=${ExpConfig.realizations}, ε=${ExpConfig.eps}) ===")
-    println(Table3.format(cells))
-    println("--- paper values (η/n grid per row) ---")
-    Table3.paper.foreach { case (model, ds, vals) =>
-      println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}")
-    }
+    println()
+    Table3.report(cells, ExpConfig.realizations)
 
     // Core claims of the table, asserted as shape:
     // (1) ASTI reaches η on every realization (enforced inside runCell).

@@ -5,19 +5,13 @@ import repro.experiments.{ExpConfig, Table2}
 
 /** spark-submit entrypoint reproducing Table 2 (dataset statistics).
   *
-  * Usage: spark-submit --class repro.jobs.Table2Job repro.jar [scale]
+  * Usage: spark-submit --class repro.jobs.Table2Job repro.jar [scale > 0, default REPRO_SCALE]
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
+    val scale = ExpConfig.positive(args.headOption.map("scale" -> _).toMap, "scale", ExpConfig.scale)(_.toDouble)
     val spark = SparkSession.builder.appName("table2").getOrCreate()
-    val scale = args.headOption.map(_.toDouble).getOrElse(ExpConfig.scale)
-    val rows = Table2.run(spark, scale)
-    println(s"=== Table 2 (scale=$scale) ===")
-    println(Table2.format(rows))
-    println("--- paper values (full-scale SNAP datasets) ---")
-    Table2.paper.foreach { case (n, nn, mm, t, d, l) =>
-      println(f"$n%-12s $nn%8s $mm%9s $t%-10s $d%7s $l%8s")
-    }
-    spark.stop()
+    try Table2.report(Table2.run(spark, scale), scale)
+    finally spark.stop()
   }
 }

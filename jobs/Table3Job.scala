@@ -6,18 +6,13 @@ import repro.experiments.{ExpConfig, Table3}
   * threshold, IC & LT; N/A where ATEUC misses η on some realization). It
   * starts no SparkSession: every solve runs on the driver's own threads.
   *
-  * Usage: spark-submit --class repro.jobs.Table3Job repro.jar [realizations]
-  * Scale via REPRO_SCALE; ε is the paper's 0.5.
+  * Usage: spark-submit --class repro.jobs.Table3Job repro.jar [realizations > 0]
+  * Realizations default to REPRO_REALIZATIONS, scale to REPRO_SCALE; ε is 0.5.
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val realizations = args.headOption.map(_.toInt).getOrElse(ExpConfig.realizations)
-    val cells = Table3.run(realizations = realizations)
-    println(s"=== Table 3 (scale=${ExpConfig.scale}, R=$realizations, ε=${ExpConfig.eps}) ===")
-    println(Table3.format(cells))
-    println("--- paper values ---")
-    Table3.paper.foreach { case (model, ds, vals) =>
-      println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}")
-    }
+    val realizations = ExpConfig.positive(
+      args.headOption.map("realizations" -> _).toMap, "realizations", ExpConfig.realizations)(_.toInt)
+    Table3.report(Table3.run(realizations = realizations), realizations)
   }
 }

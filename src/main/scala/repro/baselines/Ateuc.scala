@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
-import repro.core.{Coverage, MRRSamplerCtx, ResidualState, Trim}
+import repro.core.{Coverage, MRRSamplerCtx, ResidualState, SelectResult, Trim}
 import repro.diffusion.DiffusionModel
 import repro.graph.CompactGraph
 
@@ -28,41 +28,31 @@ import repro.graph.CompactGraph
   * non-adaptive it can under-/over-shoot η on individual realizations
   * (Table 3's N/A cells, Figure 8), and its stop condition is met *sooner*
   * for larger η, so runtime decreases as η grows.
+  *
+  * It returns a `SelectResult`, as the adaptive selectors do: `estTruncated`
+  * holds the plain estimate n·Λ_R(S)/|R|, and `iterations` reads
+  * `MaxIterations` + 1 when the doubling budget ran out.
   */
 object Ateuc {
-
-  final case class AteucResult(
-      seeds: Array[Int],
-      estSpread: Double,
-      samples: Long,
-      work: Long,
-      iterations: Int
-  ) {
-    def numSeeds: Int = seeds.length
-  }
 
   val InitialTheta = 256
   val MaxIterations = 14
 
-  def select(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): AteucResult = {
-    // All-inactive residual state: ATEUC samples the full graph, once.
-    val state = new ResidualState(g, eta)
-    select(new MRRSamplerCtx(
-      g, state.inactive, state.inactiveNodes, eta, model,
-      vanillaRoots = true, seedBase = seed))
-  }
+  /** ATEUC on the full graph: an all-inactive residual state, sampled once. */
+  def select(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): SelectResult =
+    select(new MRRSamplerCtx(new ResidualState(g, eta), model, vanillaRoots = true, seedBase = seed))
 
   /** The pre-broadcast form, which perfbench's harness calls; it goes at the
     * next benchmark change.
     */
   def select(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int,
-             model: DiffusionModel, seed: Long): AteucResult = select(bg.value, eta, model, seed)
+             model: DiffusionModel, seed: Long): SelectResult = select(bg.value, eta, model, seed)
 
   /** ATEUC over the pool of `ctx`, a full-graph context of vanilla RR-sets
     * whose target η is `ctx.etaI`.
     */
-  def select(ctx: MRRSamplerCtx): AteucResult = {
-    val n = ctx.inactive.length
+  def select(ctx: MRRSamplerCtx): SelectResult = {
+    val n = ctx.graph.n
     val eta = ctx.etaI
     // Confidence level across all prefixes and iterations (union bound).
     val a = math.log(n.toDouble) + math.log(MaxIterations / 0.01)
@@ -94,14 +84,14 @@ object Ateuc {
       // Greedy's c is the number of sets the prefix covers, so the estimated
       // spread n·Λ_R(S)/|R| needs no second pass over the pool.
       if (sU != null && sL > 0 && sU.length <= 2 * sL)
-        return AteucResult(sU, n.toDouble * sUCovered / ctx.totalSamples,
-                           ctx.totalSamples, ctx.totalWork, iter)
+        return SelectResult(sU, n.toDouble * sUCovered / ctx.totalSamples,
+                            ctx.totalSamples, ctx.totalWork, iter)
       theta *= 2
       iter += 1
     }
     // Budget exhausted: return the last estimate-feasible prefix (still a
     // sensible non-adaptive answer; flagged by iterations == MaxIterations+1).
-    AteucResult(plain, n.toDouble * plainCovered / ctx.totalSamples,
-                ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
+    SelectResult(plain, n.toDouble * plainCovered / ctx.totalSamples,
+                 ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
   }
 }

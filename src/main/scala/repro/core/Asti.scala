@@ -79,10 +79,8 @@ object Asti {
     var work = 0L
     while (!state.reached) {
       rounds += 1
-      val ctx = new MRRSamplerCtx(
-        g, state.inactive, state.inactiveNodes, state.etaI, model,
-        selector.vanillaRoots, Rng.state(algoSeed, rounds))
-      val sel = selector.select(ctx, eps)
+      val sel = selector.select(
+        new MRRSamplerCtx(state, model, selector.vanillaRoots, Rng.state(algoSeed, rounds)), eps)
       require(sel.seeds.nonEmpty, s"selector ${selector.name} returned no seeds")
       // Observe: the batch activates its forward-reachable set among the
       // still-inactive nodes under φ (Lines 4–6 of Algorithm 1).

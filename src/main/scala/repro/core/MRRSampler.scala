@@ -51,18 +51,6 @@ object MRRSampler {
     math.min(math.max(1, k), nI)
   }
 
-  /** One mRR-set: node array (unsorted) plus its work, the number of random
-    * draws its reverse BFS made (root draws not counted). A one-shot wrapper
-    * around `sampleInto` that allocates its own n-sized `NodeQueue`.
-    */
-  def sampleOne(g: CompactGraph, inactive: Array[Boolean], inactiveNodes: Array[Int],
-                etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
-                seedBase: Long, idx: Long): (Array[Int], Int) = {
-    val s = new NodeQueue(g.n)
-    val work = sampleInto(s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, idx)
-    (s.result(), work)
-  }
-
   /** Draw set `idx` into `s` (read it with `s.result()` or `s.countInto`)
     * and return the number of random draws its reverse BFS made.
     */
@@ -222,10 +210,11 @@ object MRRSampler {
   }
 }
 
-/** Per-round sampling context and sample pool: fixes the graph, residual
-  * mask, target and model for a round's doublings, and counts the sets drawn
-  * so far, set i being stream index i, into their coverage counts Λ(v).
-  * Tracks cumulative work for the efficiency instrumentation.
+/** Per-round sampling context and sample pool: fixes the residual graph G_i
+  * of `state` (§2.3), the model and the root mode for a round's doublings,
+  * and counts the sets drawn so far, set i being stream index i, into their
+  * coverage counts Λ(v). Tracks cumulative work for the efficiency
+  * instrumentation.
   *
   * A context grows in one of two ways, fixed by its consumer: `growTo` keeps
   * every set (TRIM-B's greedy and ATEUC read them), `countTo` keeps only the
@@ -236,45 +225,45 @@ object MRRSampler {
   * caller included; a call made while another thread holds the helpers uses
   * the caller alone.
   *
-  * The constructor rejects a residual state the kernel cannot draw from,
-  * naming the position and value: a mask whose length is not n, a node list
-  * entry outside [0, n), active, or not above the one before it (ids ascend
-  * strictly), and η_i outside [1, n_i].
+  * Reads the node list and η_i from `state` once; the mask is `state.inactive`
+  * itself, which Algorithm 1 changes only after selecting. Rejects a reached state.
   */
 final class MRRSamplerCtx(
-    val graph: CompactGraph,
-    val inactive: Array[Boolean],
-    val inactiveNodes: Array[Int],
-    val etaI: Int,
+    state: ResidualState,
     val model: DiffusionModel,
     val vanillaRoots: Boolean,
     val seedBase: Long,
     val workers: Int = Runtime.getRuntime.availableProcessors()
 ) {
+  require(!state.reached, s"the residual state has reached η = ${state.eta}: nothing is left to sample")
   require(workers >= 1, s"workers = $workers must be at least 1")
-  require(inactive.length == graph.n,
-    s"inactive has ${inactive.length} entries for a graph of n = ${graph.n} nodes")
-  MRRSamplerCtx.requireResidual(graph.n, inactive, inactiveNodes)
-  require(etaI >= 1 && etaI <= inactiveNodes.length,
-    s"η_i = $etaI lies outside [1, n_i = ${inactiveNodes.length}]")
+  val graph: CompactGraph = state.graph
+  val inactive: Array[Boolean] = state.inactive
+  val inactiveNodes: Array[Int] = state.inactiveNodes
+  val etaI: Int = state.etaI
 
   /** The pre-broadcast form, which perfbench's trace probe calls; it goes at
-    * the next benchmark change.
+    * the next benchmark change. It rebuilds the residual state from the mask
+    * and η_i, and rejects a node list other than that state's.
     */
   def this(spark: SparkSession, bg: Broadcast[CompactGraph], inactive: Array[Boolean],
            inactiveNodes: Array[Int], etaI: Int, model: DiffusionModel, vanillaRoots: Boolean,
-           seedBase: Long) = this(bg.value, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase)
+           seedBase: Long) = {
+    this(MRRSamplerCtx.residual(bg.value, inactive, etaI), model, vanillaRoots, seedBase)
+    require(java.util.Arrays.equals(inactiveNodes, this.inactiveNodes),
+      "inactiveNodes must list the mask's inactive nodes in ascending order")
+  }
 
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
   /** The calling thread's queue in `draw`. */
   private var queue: NodeQueue = _
   private var countOnly = false
   private var drawn = 0
-  private val coverage = new Array[Int](inactive.length)
+  private val coverage = new Array[Int](graph.n)
   if (model == DiffusionModel.LT) graph.requireLT()
 
   /** Random draws made by the reverse BFS of every set drawn by this context
-    * (`sampleOne`'s work), summed over all `growTo`, `countTo`,
+    * (root draws not counted), summed over all `growTo`, `countTo`,
     * `generateLocal` and `generateSpark` calls.
     */
   var totalWork: Long = 0L
@@ -410,21 +399,15 @@ final class MRRSamplerCtx(
 
 object MRRSamplerCtx {
 
-  /** Rejects a node list with an entry outside [0, n), active, or not above
-    * the one before it, naming the first such position and value.
-    */
-  private def requireResidual(n: Int, inactive: Array[Boolean], nodes: Array[Int]): Unit = {
-    var i = 0
-    while (i < nodes.length) {
-      val v = nodes(i)
-      if (v < 0 || v >= n || !inactive(v) || (i > 0 && nodes(i - 1) >= v)) {
-        val why =
-          if (v < 0 || v >= n) s"lies outside [0, n = $n)"
-          else if (!inactive(v)) "is active"
-          else s"does not exceed inactiveNodes(${i - 1}) = ${nodes(i - 1)}; ids must ascend strictly"
-        throw new IllegalArgumentException(s"requirement failed: inactiveNodes($i) = $v $why")
-      }
-      i += 1
-    }
+  /** The residual state whose mask is `inactive` and whose η_i is `etaI`. */
+  private def residual(g: CompactGraph, inactive: Array[Boolean], etaI: Int): ResidualState = {
+    require(inactive.length == g.n, s"inactive has ${inactive.length} entries for a graph of n = ${g.n} nodes")
+    val active = Array.newBuilder[Int]
+    var v = 0
+    while (v < g.n) { if (!inactive(v)) active += v; v += 1 }
+    val nodes = active.result()
+    val state = new ResidualState(g, nodes.length + etaI)
+    state.activate(nodes)
+    state
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
-/** Outcome of one round of seed selection. `estTruncated` is the estimated
-  * expected (truncated, for TRIM) spread of the returned seeds; `samples` and
-  * `work` instrument the efficiency claims (Lemmas 3.8–3.10). `work` is the
-  * number of random draws the reverse BFS of the round's sets made
-  * (`MRRSamplerCtx.totalWork`), not the number of edges it examined.
+/** Outcome of one selection: a round of TRIM, TRIM-B or AdaptIM, or ATEUC's
+  * one shot. `estTruncated` is the estimated expected spread of the returned
+  * seeds: truncated at η_i for TRIM and TRIM-B, plain for AdaptIM and ATEUC.
+  * `samples` and `work` instrument the efficiency claims (Lemmas 3.8–3.10).
+  * `work` is the number of random draws the reverse BFS of the round's sets
+  * made (`MRRSamplerCtx.totalWork`), not the number of edges it examined.
   */
 final case class SelectResult(
     seeds: Array[Int],

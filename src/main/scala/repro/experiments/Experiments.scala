@@ -20,7 +20,7 @@ object ExpConfig {
   /** `env(name)` parsed by `parse`, or `default` where `env` has no `name`;
     * a value that does not parse or is not positive fails, naming both.
     */
-  private[experiments] def positive[T](env: Map[String, String], name: String, default: T)
+  private[repro] def positive[T](env: Map[String, String], name: String, default: T)
                                       (parse: String => T)(implicit num: Numeric[T]): T =
     env.get(name).fold(default) { raw =>
       val value = try parse(raw.trim) catch {
@@ -73,6 +73,12 @@ object Table2 {
       f"${r.name}%-12s ${r.n}%8d ${r.m}%9d $typ%-10s ${r.avgDeg}%7.2f ${r.lwcc}%8d ${100.0 * r.lwcc / r.n}%5.1f%%"
     }
     (header +: lines).mkString("\n")
+  }
+
+  /** Prints `rows`, measured at `scale`, and then the paper's values. */
+  def report(rows: Seq[Row], scale: Double): Unit = {
+    println(s"=== Table 2 (scale=$scale) ===\n${format(rows)}\n--- paper values (full-scale SNAP datasets) ---")
+    paper.foreach { case (n, nn, mm, t, d, l) => println(f"$n%-12s $nn%8s $mm%9s $t%-10s $d%7s $l%8s") }
   }
 }
 
@@ -128,7 +134,7 @@ object Table3 {
       if (spread >= eta) feasible += 1
     }
     Cell(dataset, model, etaFrac, eta, astiSeedSum / realizations,
-         ateuc.numSeeds, feasible, realizations)
+         ateuc.seeds.length, feasible, realizations)
   }
 
   def run(datasets: Seq[String] = GraphGen.datasets.map(_.name),
@@ -156,6 +162,13 @@ object Table3 {
       f"${c.model.name}%-3s ${c.dataset}%-12s η/n=${c.etaFrac}%-5s η=${c.eta}%-6d " +
         f"ASTI=${c.astiAvgSeeds}%8.2f ATEUC=${c.ateucSeeds}%5d improvement=$imp"
     }.mkString("\n")
+
+  /** Prints `cells`, of `realizations` realizations each, then the paper's values. */
+  def report(cells: Seq[Cell], realizations: Int): Unit = {
+    println(s"=== Table 3 (scale=${ExpConfig.scale}, R=$realizations, ε=${ExpConfig.eps}) ===\n" +
+            s"${format(cells)}\n--- paper values (η/n grid per row) ---")
+    paper.foreach { case (model, ds, vals) => println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}") }
+  }
 }
 
 /** Supporting comparison (claims carried by Figures 4–8 that Table 3 relies
@@ -198,7 +211,7 @@ object AlgoComparison {
     val feasible = (0 until realizations).count { r =>
       new Realization(g, model, Rng.state(seed, 10L + r)).spread(ateuc.seeds) >= eta
     }
-    rows :+ Row("ATEUC", ateuc.numSeeds.toDouble, ateuc.samples.toDouble,
+    rows :+ Row("ATEUC", ateuc.seeds.length.toDouble, ateuc.samples.toDouble,
                 ateuc.work.toDouble, ateucMs, feasible, realizations)
   }
 

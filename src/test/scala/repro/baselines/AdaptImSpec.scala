@@ -53,10 +53,7 @@ class AdaptImSpec extends AnyFunSuite {
     // sets than the truncated selector when η ≪ n (Lemma 3.9 vs OPIM).
     val g = GraphGen.dataset("nethept", scale = 0.1)
     val eta = math.max(4, g.n / 25)
-    def ctx(vanilla: Boolean) = {
-      val st = new ResidualState(g, eta)
-      new MRRSamplerCtx(g, st.inactive, st.inactiveNodes, st.etaI, IC, vanilla, 11L)
-    }
+    def ctx(vanilla: Boolean) = new MRRSamplerCtx(new ResidualState(g, eta), IC, vanilla, 11L)
     val trunc = TrimSelector.select(ctx(vanilla = false), 0.5)
     val vanilla = AdaptImSelector.select(ctx(vanilla = true), 0.5)
     assert(vanilla.samples > 3 * trunc.samples,

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core.{Coverage, MRRSamplerCtx, ResidualState, Trim}
+import repro.core.{Coverage, MRRSamplerCtx, ResidualState, SelectResult, Trim}
 import repro.diffusion.{DiffusionModel, Realization, Spread}
 import repro.graph.{CompactGraph, GraphGen}
 
@@ -22,7 +22,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     // certifies a single seed at the initial sample size.
     val g = GraphGen.twoCliques(8, 1.0)
     val res = Ateuc.select(g, 4, IC, 2L)
-    assert(res.numSeeds == 1)
+    assert(res.seeds.length == 1)
   }
 
   test("deterministic two-clique: η above one clique needs one seed per clique") {
@@ -30,7 +30,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     // after a few doublings.
     val g = GraphGen.twoCliques(8, 1.0)
     val res = Ateuc.select(g, 14, IC, 3L)
-    assert(res.numSeeds == 2)
+    assert(res.seeds.length == 2)
     assert(res.seeds.map(_ / 8).toSet == Set(0, 1))
   }
 
@@ -47,7 +47,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset("nethept", scale = 0.1)
     val eta = g.n / 10
     val res = Ateuc.select(g, eta, IC, 5L)
-    assert(res.estSpread >= eta * 0.9)
+    assert(res.estTruncated >= eta * 0.9)
   }
 
   test("selection is non-adaptive: independent of any realization, deterministic in seed") {
@@ -56,21 +56,21 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     // The pre-broadcast form, which perfbench calls, forwards to the same selection.
     val b = Ateuc.select(spark, spark.sparkContext.broadcast(g), 20, IC, 6L)
     assert(a.seeds.toSeq == b.seeds.toSeq)
-    assert((a.estSpread, a.samples, a.work, a.iterations) == (b.estSpread, b.samples, b.work, b.iterations))
+    assert((a.estTruncated, a.samples, a.work, a.iterations) == (b.estTruncated, b.samples, b.work, b.iterations))
   }
 
   test("larger η needs at least as many seeds") {
     val g = GraphGen.dataset("nethept", scale = 0.1)
     val small = Ateuc.select(g, g.n / 20, IC, 7L)
     val large = Ateuc.select(g, g.n / 5, IC, 7L)
-    assert(large.numSeeds >= small.numSeeds)
+    assert(large.seeds.length >= small.seeds.length)
   }
 
   test("works under the LT model") {
     val g = GraphGen.dataset("nethept", scale = 0.05)
     val eta = 20
     val res = Ateuc.select(g, eta, LT, 8L)
-    assert(res.numSeeds >= 1)
+    assert(res.seeds.length >= 1)
     val mc = Spread.mcSpread(spark, g, res.seeds, LT, 3000, 100L)
     assert(mc >= eta * 0.8, s"mc=$mc")
   }
@@ -93,7 +93,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     val res = Ateuc.select(g, g.n, IC, 11L)
     assert(res.iterations == Ateuc.MaxIterations + 1)
     assert(res.seeds.toSeq == Seq(0))
-    assert(res.estSpread == g.n)
+    assert(res.estTruncated == g.n)
     assert(res.samples == Ateuc.InitialTheta.toLong << (Ateuc.MaxIterations - 1))
   }
 
@@ -103,25 +103,22 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     assert(res.samples >= Ateuc.InitialTheta && res.work > 0)
   }
 
-  private def fullGraphCtx(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): MRRSamplerCtx = {
-    val state = new ResidualState(g, eta)
-    new MRRSamplerCtx(g, state.inactive, state.inactiveNodes,
-                      eta, model, vanillaRoots = true, seedBase = seed)
-  }
+  private def fullGraphCtx(g: CompactGraph, eta: Int, model: DiffusionModel, seed: Long): MRRSamplerCtx =
+    new MRRSamplerCtx(new ResidualState(g, eta), model, vanillaRoots = true, seedBase = seed)
 
   /** Reference `Ateuc.select` that materializes the full greedy sequence at
     * every doubling and scans it for S_l, the plain-estimate prefix and S_u,
-    * with `estSpread` through a boxed seed set. `Ateuc.select` pulls greedy
+    * with `estTruncated` through a boxed seed set. `Ateuc.select` pulls greedy
     * only up to S_u and must return the same result.
     */
-  private def fullScanSelect(ctx: MRRSamplerCtx): Ateuc.AteucResult = {
-    val n = ctx.inactive.length
+  private def fullScanSelect(ctx: MRRSamplerCtx): SelectResult = {
+    val n = ctx.graph.n
     val eta = ctx.etaI
     val a = math.log(n.toDouble) + math.log(Ateuc.MaxIterations / 0.01)
     def result(seeds: Array[Int], iterations: Int) = {
       val seedSet = seeds.toSet
       val est = n.toDouble * ctx.sets.count(_.exists(seedSet.contains)) / ctx.sets.length
-      Ateuc.AteucResult(seeds, est, ctx.totalSamples, ctx.totalWork, iterations)
+      SelectResult(seeds, est, ctx.totalSamples, ctx.totalWork, iterations)
     }
     var theta = Ateuc.InitialTheta.toLong
     var iter = 1
@@ -151,7 +148,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
 
   test("select matches the full-sequence scan, and its results are pinned") {
     // (graph, model, η/n, selection seed, then the pinned seeds, samples,
-    // iterations, estSpread and work). The star case runs out of budget.
+    // iterations, estTruncated and work). The star case runs out of budget.
     // Pinned at the constant-work reverse BFS, whose work counts draws.
     val nethept = GraphGen.dataset("nethept", scale = 0.1)
     val star = GraphGen.star(50, 1.0)
@@ -172,10 +169,10 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
       val ref = fullScanSelect(fullGraphCtx(g, eta, model, seed))
       val clue = s"$model, η = $eta"
       assert(res.seeds.toSeq == ref.seeds.toSeq, clue)
-      assert((res.samples, res.iterations, res.estSpread, res.work) ==
-               (ref.samples, ref.iterations, ref.estSpread, ref.work), clue)
+      assert((res.samples, res.iterations, res.estTruncated, res.work) ==
+               (ref.samples, ref.iterations, ref.estTruncated, ref.work), clue)
       assert(res.seeds.toSeq == seeds, clue)
-      assert((res.samples, res.iterations, res.estSpread, res.work) ==
+      assert((res.samples, res.iterations, res.estTruncated, res.work) ==
                (samples, iterations, est, work), clue)
     }
   }

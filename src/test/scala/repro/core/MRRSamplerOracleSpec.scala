@@ -14,6 +14,7 @@ import repro.graph.{CompactGraph, GraphGen}
 class MRRSamplerOracleSpec extends AnyFunSuite with SparkSpec {
 
   import DiffusionModel.IC
+  import SamplerFixtures.sampleOne
 
   private def deterministicGraph: CompactGraph = CompactGraph.fromEdges(12, Seq(
     (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 2, 1.0),
@@ -21,10 +22,10 @@ class MRRSamplerOracleSpec extends AnyFunSuite with SparkSpec {
 
   test("p=1 mRR-set equals the DuckDB reverse closure of its roots") {
     val g = deterministicGraph
-    val state = new ResidualState(g, 4) // k = 3 roots per set
+    // k = 3 roots per set
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 4), IC, vanillaRoots = false, 5L)
     (0 until 5).foreach { idx =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, 4, IC, vanillaRoots = false, 5L, idx.toLong)
+      val (set, _) = sampleOne(ctx, idx.toLong)
       // With p = 1 the set is the reverse closure of its roots, so it is
       // itself reverse-closed: closure(set) == set. DuckDB recomputes the
       // closure of all members and must give back exactly the set.
@@ -47,10 +48,9 @@ class MRRSamplerOracleSpec extends AnyFunSuite with SparkSpec {
 
   test("p=1 vanilla RR-set is closed under reverse reachability") {
     val g = deterministicGraph
-    val state = new ResidualState(g, 4)
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 4), IC, vanillaRoots = true, 7L)
     (0 until 10).foreach { idx =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, 4, IC, vanillaRoots = true, 7L, idx.toLong)
+      val (set, _) = sampleOne(ctx, idx.toLong)
       val members = set.toSet
       // Every in-neighbor of a member is a member (p = 1 ⇒ closure).
       members.foreach { v =>
@@ -63,9 +63,9 @@ class MRRSamplerOracleSpec extends AnyFunSuite with SparkSpec {
     val g = deterministicGraph
     val state = new ResidualState(g, 6)
     state.activate(Array(1, 9))
+    val ctx = new MRRSamplerCtx(state, IC, false, 9L)
     (0 until 10).foreach { idx =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, state.etaI, IC, false, 9L, idx.toLong)
+      val (set, _) = sampleOne(ctx, idx.toLong)
       val members = set.toSet
       assert(!members.contains(1) && !members.contains(9))
       // Closure within the residual graph only: inactive in-neighbors of

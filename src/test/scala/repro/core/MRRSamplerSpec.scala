@@ -12,12 +12,13 @@ import repro.util.Rng
 class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   import DiffusionModel.{IC, LT}
+  import SamplerFixtures.{residual, sampleOne, withEtaI}
+
+  private val cores = Runtime.getRuntime.availableProcessors()
 
   private def freshCtx(g: CompactGraph, eta: Int, model: DiffusionModel,
-                       vanilla: Boolean = false, seed: Long = 1L): MRRSamplerCtx = {
-    val state = new ResidualState(g, eta)
-    new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, model, vanilla, seed)
-  }
+                       vanilla: Boolean = false, seed: Long = 1L): MRRSamplerCtx =
+    new MRRSamplerCtx(new ResidualState(g, eta), model, vanilla, seed)
 
   test("rootSize: exact division gives fixed k") {
     (0 until 100).foreach { i =>
@@ -48,16 +49,15 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   test("sampleOne is deterministic in (seed, idx)") {
     val g = GraphGen.dataset("nethept", scale = 0.05)
     val state = new ResidualState(g, 20)
-    val a = MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, 7L)
-    val b = MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, 7L)
+    val a = sampleOne(new MRRSamplerCtx(state, IC, false, 5L), 7L)
+    val b = sampleOne(new MRRSamplerCtx(state, IC, false, 5L), 7L)
     assert(a._1.toSeq == b._1.toSeq && a._2 == b._2)
   }
 
   test("sampleOne varies with idx") {
     val g = GraphGen.dataset("nethept", scale = 0.05)
-    val state = new ResidualState(g, 20)
-    val sets = (0 until 20).map(i =>
-      MRRSampler.sampleOne(g, state.inactive, state.inactiveNodes, 20, IC, false, 5L, i.toLong)._1.toSeq)
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 20), IC, false, 5L)
+    val sets = (0 until 20).map(i => sampleOne(ctx, i.toLong)._1.toSeq)
     assert(sets.distinct.size > 1)
   }
 
@@ -65,9 +65,9 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset("nethept", scale = 0.05)
     val state = new ResidualState(g, 50)
     state.activate(Array(0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+    val ctx = new MRRSamplerCtx(state, IC, false, 9L)
     (0 until 50).foreach { i =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, state.etaI, IC, false, 9L, i.toLong)
+      val (set, _) = sampleOne(ctx, i.toLong)
       assert(set.nonEmpty)
       assert(set.distinct.length == set.length)
       assert(set.forall(state.inactive(_)), s"idx $i leaked an active node")
@@ -76,20 +76,19 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   test("vanilla mode draws exactly one root on a no-edge graph") {
     val g = CompactGraph.fromEdges(10, Seq.empty)
-    val state = new ResidualState(g, 5)
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 5), IC, vanillaRoots = true, 3L)
     (0 until 30).foreach { i =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, 5, IC, vanillaRoots = true, 3L, i.toLong)
+      val (set, _) = sampleOne(ctx, i.toLong)
       assert(set.length == 1)
     }
   }
 
   test("multi-root mode draws k roots on a no-edge graph") {
     val g = CompactGraph.fromEdges(12, Seq.empty)
-    val state = new ResidualState(g, 3) // n/η = 4 exactly
+    // n/η = 4 exactly
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 3), IC, vanillaRoots = false, 4L)
     (0 until 30).foreach { i =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, 3, IC, vanillaRoots = false, 4L, i.toLong)
+      val (set, _) = sampleOne(ctx, i.toLong)
       assert(set.length == 4)
       assert(set.distinct.length == 4)
     }
@@ -97,18 +96,15 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   test("large-k path (η_i = 1) returns all residual nodes as roots") {
     val g = CompactGraph.fromEdges(8, Seq.empty)
-    val state = new ResidualState(g, 1)
-    val (set, _) = MRRSampler.sampleOne(
-      g, state.inactive, state.inactiveNodes, 1, IC, false, 6L, 0L)
+    val (set, _) = sampleOne(new MRRSamplerCtx(new ResidualState(g, 1), IC, false, 6L), 0L)
     assert(set.sorted.toSeq == (0 until 8))
   }
 
   test("deterministic chain: mRR-set contains the full upstream prefix") {
     val g = GraphGen.line(6, 1.0)
-    val state = new ResidualState(g, 6) // k = 1
+    val ctx = new MRRSamplerCtx(new ResidualState(g, 6), IC, false, 7L) // k = 1
     (0 until 20).foreach { i =>
-      val (set, _) = MRRSampler.sampleOne(
-        g, state.inactive, state.inactiveNodes, 6, IC, false, 7L, i.toLong)
+      val (set, _) = sampleOne(ctx, i.toLong)
       val root = set.max // on a p=1 chain, reverse reach of r is 0..r
       assert(set.sorted.toSeq == (0 to root))
     }
@@ -118,17 +114,16 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   /** Sampling inputs covering both models and both root modes, with few
     * roots and with half the residual nodes as roots (η_i = 2), on full and
-    * residual graphs.
+    * residual graphs: each a maker of fresh contexts of a given worker count.
     */
-  private def inputs: Seq[(String, MRRSamplerCtx)] = {
-    val g = nethept
+  private def makers: Seq[(String, Int => MRRSamplerCtx)] = {
     def ctx(eta: Int, model: DiffusionModel, vanilla: Boolean, activated: Int,
-            seed: Long): MRRSamplerCtx = {
-      val state = new ResidualState(g, eta)
+            seed: Long)(workers: Int): MRRSamplerCtx = {
+      val state = new ResidualState(nethept, eta)
       state.activate((0 until activated).toArray)
-      new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, model, vanilla, seed)
+      new MRRSamplerCtx(state, model, vanilla, seed, workers)
     }
-    Seq(
+    Seq[(String, Int => MRRSamplerCtx)](
       "IC multi-root" -> ctx(20, IC, vanilla = false, 0, 11L),
       "LT multi-root" -> ctx(20, LT, vanilla = false, 0, 12L),
       "IC vanilla" -> ctx(20, IC, vanilla = true, 0, 13L),
@@ -137,12 +132,16 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
       "LT residual, half the nodes as roots" -> ctx(12, LT, vanilla = false, 10, 16L))
   }
 
+  /** One fresh context per input, on every core. */
+  private def inputs: Seq[(String, MRRSamplerCtx)] = makers.map { case (name, make) => name -> make(cores) }
+
   test("ctx generateLocal and generateSpark are byte-identical") {
     // Counts on both sides of the block and worker thresholds (MinBlock =
     // 16), TRIM's first doubling on nethept (143), and 5003: every worker,
     // many blocks, a short last block and every partition.
     Seq(1, 15, 16, 31, 32, 33, 143, 257, 5003).foreach { count =>
-      inputs.zip(inputs).foreach { case ((name, local), (_, dist)) =>
+      makers.foreach { case (name, make) =>
+        val (local, dist) = (make(cores), make(cores))
         val a = local.generateLocal(0, count)
         val b = dist.generateSpark(0, count)
         assert(a.size == count && b.size == count, s"$name, $count sets")
@@ -150,11 +149,11 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
           assert(a(i).toSeq == b(i).toSeq, s"$name set $i of $count")
         }
         assert(local.totalWork == dist.totalWork, s"$name, $count sets")
-        // Each worker reuses one NodeQueue; a fresh one per set gives the same.
+        // Each worker reuses one NodeQueue; a fresh one per set, that of a
+        // fresh context, gives the same.
         (0 until count by 7).foreach { i =>
-          val (set, _) = MRRSampler.sampleOne(nethept, local.inactive, local.inactiveNodes,
-            local.etaI, local.model, local.vanillaRoots, local.seedBase, i.toLong)
-          assert(a(i).toSeq == set.toSeq, s"$name set $i of $count vs sampleOne")
+          val (set, _) = sampleOne(make(cores), i.toLong)
+          assert(a(i).toSeq == set.toSeq, s"$name set $i of $count vs a fresh context")
         }
       }
     }
@@ -227,11 +226,9 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     assert(one.seeds.toSeq == Seq(Coverage.topNode(countCtx.counts)._1))
     intercept[IllegalArgumentException](countCtx.sets)
 
-    val state = new ResidualState(nethept, nethept.n / 10)
-    val ateucCtx = new MRRSamplerCtx(nethept,
-      state.inactive, state.inactiveNodes, state.etaI, IC, vanillaRoots = true, 17L)
+    val ateucCtx = new MRRSamplerCtx(new ResidualState(nethept, nethept.n / 10), IC, vanillaRoots = true, 17L)
     val res = repro.baselines.Ateuc.select(ateucCtx)
-    assert(res.iterations > 1 && res.numSeeds > 1)
+    assert(res.iterations > 1 && res.seeds.length > 1)
     assert(ateucCtx.counts.toSeq == Coverage.counts(nethept.n, ateucCtx.sets).toSeq)
   }
 
@@ -261,60 +258,49 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](kept.countTo(20))
   }
 
-  /** The message with which a context over a 6-node line rejects these
-    * residual inputs; `nodes` defaults to the mask's inactive nodes.
-    */
-  private def rejection(inactive: Array[Boolean], nodes: Array[Int] = null, etaI: Int = 1): String = {
-    val list = if (nodes != null) nodes else inactive.indices.filter(inactive(_)).toArray
-    intercept[IllegalArgumentException](
-      new MRRSamplerCtx(GraphGen.line(6, 0.5), inactive, list, etaI, IC, false, 1L)).getMessage
-  }
-
-  private def mask(active: Int*): Array[Boolean] = Array.tabulate(6)(v => !active.contains(v))
-
-  test("the context rejects an inactive mask whose length is not n") {
-    val msg = rejection(Array.fill(5)(true))
-    assert(msg.contains("inactive has 5 entries") && msg.contains("n = 6"), msg)
-  }
-
-  test("the context rejects a residual node outside [0, n), naming its position and value") {
-    val high = rejection(mask(), Array(0, 2, 6))
-    assert(high.contains("inactiveNodes(2) = 6 lies outside [0, n = 6)"), high)
-    val negative = rejection(mask(), Array(-1, 2))
-    assert(negative.contains("inactiveNodes(0) = -1 lies outside"), negative)
-  }
-
-  test("the context rejects an active residual node, naming its position and value") {
-    val msg = rejection(mask(3), Array(0, 1, 3, 4))
-    assert(msg.contains("inactiveNodes(2) = 3 is active"), msg)
-  }
-
-  test("the context rejects residual nodes that do not ascend strictly, naming the position and value") {
-    val descending = rejection(mask(), Array(0, 4, 2))
-    assert(descending.contains("inactiveNodes(2) = 2 does not exceed inactiveNodes(1) = 4"), descending)
-    val repeated = rejection(mask(), Array(0, 1, 1))
-    assert(repeated.contains("inactiveNodes(2) = 1 does not exceed inactiveNodes(1) = 1"), repeated)
-  }
-
-  test("the context rejects η_i outside [1, n_i], naming the value") {
-    Seq(-3, 0, 5).foreach { etaI =>
-      val msg = rejection(mask(4, 5), etaI = etaI)
-      assert(msg.contains(s"η_i = $etaI lies outside [1, n_i = 4]"), msg)
-    }
+  test("the context rejects a reached state, and its forwarder a mask, list and η_i of no residual state") {
+    val g = GraphGen.line(6, 0.5)
+    val reached = new ResidualState(g, 2)
+    reached.activate(Array(0, 1))
+    val e = intercept[IllegalArgumentException](new MRRSamplerCtx(reached, IC, false, 1L))
+    assert(e.getMessage.contains("reached η = 2"), e.getMessage)
+    // The pre-broadcast constructor, which perfbench's trace probe calls.
+    val bg = spark.sparkContext.broadcast(g)
+    def forward(inactive: Array[Boolean], nodes: Array[Int], etaI: Int): MRRSamplerCtx =
+      new MRRSamplerCtx(spark, bg, inactive, nodes, etaI, IC, false, 1L)
+    def mask(active: Int*): Array[Boolean] = Array.tabulate(6)(v => !active.contains(v))
+    val all = Array(0, 1, 2, 3, 4, 5)
+    val rejected = Seq(
+      "a mask whose length is not n" -> (() => forward(Array.fill(5)(true), Array(0, 1, 2, 3, 4), 1)),
+      "a node above n" -> (() => forward(mask(), Array(0, 2, 6), 1)),
+      "a negative node" -> (() => forward(mask(), Array(-1, 2), 1)),
+      "an active node" -> (() => forward(mask(3), Array(0, 1, 3, 4), 1)),
+      "a descending list" -> (() => forward(mask(), Array(0, 4, 2), 1)),
+      "a repeated node" -> (() => forward(mask(), Array(0, 1, 1), 1)),
+      "the full list with an active node" -> (() => forward(mask(3), all, 1))) ++
+      Seq(-3, 0, 5).map(etaI => s"η_i = $etaI outside [1, 4]" -> (() => forward(mask(4, 5), Array(0, 1, 2, 3), etaI)))
+    val messages = rejected.map { case (input, make) =>
+      input -> withClue(input)(intercept[IllegalArgumentException](make())).getMessage
+    }.toMap
+    val short = messages("a mask whose length is not n")
+    assert(short.contains("inactive has 5 entries") && short.contains("n = 6"), short)
     Seq(1, 4).foreach { etaI =>
-      new MRRSamplerCtx(GraphGen.line(6, 0.5), mask(4, 5), Array(0, 1, 2, 3), etaI, IC, false, 1L)
+      val ctx = forward(mask(4, 5), Array(0, 1, 2, 3), etaI)
+      assert(ctx.inactiveNodes.toSeq == Seq(0, 1, 2, 3) && ctx.etaI == etaI && ctx.nI == 4)
+      assert(ctx.inactive.toSeq == mask(4, 5).toSeq)
     }
+    assert(forward(mask(), all, 6).etaI == 6)
   }
 
   test("a NodeQueue across its epoch wrap gives the same sets") {
-    inputs.foreach { case (name, ctx) =>
+    makers.foreach { case (name, make) =>
+      val ctx = make(cores)
       val s = new NodeQueue(nethept.n)
       s.epoch = Int.MaxValue - 3
       (0 until 10).foreach { i =>
         MRRSampler.sampleInto(s, nethept, ctx.inactive, ctx.inactiveNodes, ctx.etaI,
                               ctx.model, ctx.vanillaRoots, ctx.seedBase, i.toLong)
-        val (fresh, _) = MRRSampler.sampleOne(nethept, ctx.inactive, ctx.inactiveNodes,
-          ctx.etaI, ctx.model, ctx.vanillaRoots, ctx.seedBase, i.toLong)
+        val (fresh, _) = sampleOne(make(cores), i.toLong)
         assert(s.result().toSeq == fresh.toSeq, s"$name set $i")
       }
       assert(s.epoch > 0 && s.epoch < 10, s"$name: epoch ${s.epoch} did not wrap")
@@ -376,7 +362,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
       case (s, d, p) if relabel.contains(s) && relabel.contains(d) => (relabel(s), relabel(d), p)
     }
     val gRes = CompactGraph.fromEdges(4, resEdges)
-    val ctx = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, etaI, IC, false, 31L)
+    val ctx = new MRRSamplerCtx(state, IC, false, 31L)
     val theta = 40000
     val cov = Coverage.counts(g.n, ctx.generateLocal(0, theta))
     relabel.foreach { case (orig, res) =>
@@ -393,7 +379,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val g = CompactGraph.fromEdges(3, Seq((0, 2, 0.5), (1, 2, 0.5)))
     val state = new ResidualState(g, 3)
     state.activate(Array(0))
-    val ctx = new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, LT, false, 37L)
+    val ctx = new MRRSamplerCtx(state, LT, false, 37L)
     // With η_i = 2 and n_i = 2, k = 1: root uniform over {1, 2}. When the root
     // is 2, the set must always include 1 (conditional probability 1).
     val sets = ctx.generateLocal(0, 4000)
@@ -450,9 +436,10 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     for ((name, n, nodes) <- rootNodeSets; k <- Seq(1, 2, 4, 8);
          vanilla <- if (k == 1) Seq(false, true) else Seq(false)) {
       val g = CompactGraph.fromEdges(n, Seq.empty)
-      val inactive = Array.tabulate(n)(nodes.contains(_))
+      val state = residual(g, nodes.length / k, (0 until n).filterNot(nodes.contains).toArray)
+      val ctx = new MRRSamplerCtx(state, IC, vanilla, 43L + k)
       assertUniformSubsets(nodes, k, s"$name, k = $k, vanilla $vanilla") { i =>
-        MRRSampler.sampleOne(g, inactive, nodes, nodes.length / k, IC, vanilla, 43L + k, i)._1
+        sampleOne(ctx, i)._1
       }
     }
   }
@@ -479,8 +466,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   private def digests(): Seq[(String, Long, Long)] =
     for (model <- Seq(IC, LT); (mask, state) <- equivalenceMasks(model); vanilla <- Seq(false, true))
     yield {
-      val ctx = new MRRSamplerCtx(nethept, state.inactive,
-                                  state.inactiveNodes, math.max(1, state.nI / 10), model, vanilla, 97L)
+      val ctx = new MRRSamplerCtx(withEtaI(state, math.max(1, state.nI / 10)), model, vanilla, 97L)
       val digest = ctx.generateLocal(0, 3000).foldLeft(17L)((h, set) =>
         h * 1000003L + scala.util.hashing.MurmurHash3.arrayHash(set))
       (s"$model, $mask, ${if (vanilla) "vanilla" else "mRR"}", digest, ctx.totalWork)
@@ -524,9 +510,8 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     assert(cover(5) == thrown.get && cover.sum == thrown.get)
     // In the sampler itself: a copy of nethept whose in-edges into every
     // 50th node get a source outside the graph, written into `inSrc` after
-    // the constructor's checks (the context rejects bad residual input),
-    // fails the sets that reach such a node, on whichever thread draws
-    // them, after others have been counted.
+    // the graph constructor's checks, fails the sets that reach such a node,
+    // on whichever thread draws them, after others have been counted.
     val broken = {
       val g = nethept
       val copy = new CompactGraph(g.n, g.srcs, g.dsts, g.probs, g.outOff, g.inOff, g.inEdge)
@@ -535,8 +520,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     }
     val state = new ResidualState(broken, 1)
     (1 to 10).foreach { call =>
-      val ctx = new MRRSamplerCtx(broken, state.inactive, state.inactiveNodes, 1, IC,
-                                  vanillaRoots = true, 61L + call)
+      val ctx = new MRRSamplerCtx(state, IC, vanillaRoots = true, 61L + call)
       intercept[ArrayIndexOutOfBoundsException](ctx.countTo(20000))
     }
     val actual = digests()
@@ -553,10 +537,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
       */
     def runAll(order: Seq[Int], workers: Int): Map[Int, (Seq[Int], Long, Seq[Seq[Int]], Long)] =
       order.map { i =>
-        val (_, c) = inputs(i)
-        def fresh() = new MRRSamplerCtx(nethept, c.inactive,
-                                         c.inactiveNodes, c.etaI, c.model, c.vanillaRoots,
-                                         c.seedBase, workers)
+        def fresh() = makers(i)._2(workers)
         val counted = fresh()
         counted.countTo(5003)
         val drawn = fresh()
@@ -606,7 +587,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   test("vanilla RR-sets match the reference sampler's in distribution") {
     // IC and LT, fresh and residual; independent streams on the two sides.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model)) {
-      val ctx = new MRRSamplerCtx(nethept, state.inactive, state.inactiveNodes, 1, model, true, 51L)
+      val ctx = new MRRSamplerCtx(withEtaI(state, 1), model, true, 51L)
       val sets = ctx.generateLocal(0, 20000)
       val ref = (0 until 20000).map(i => ReferenceSampler.sampleOne(
         nethept, state.inactive, state.inactiveNodes, 1, model, true, 57L, i)._1)
@@ -621,8 +602,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     // half the residual nodes as roots costs about 40 small ones.
     for (model <- Seq(IC, LT); (name, state) <- equivalenceMasks(model);
          (etaI, count) <- Seq(state.nI / 10 -> 20000, 2 -> 4000)) {
-      val ctx = new MRRSamplerCtx(nethept, state.inactive,
-                                  state.inactiveNodes, etaI, model, false, 53L)
+      val ctx = new MRRSamplerCtx(withEtaI(state, etaI), model, false, 53L)
       val sets = ctx.generateLocal(0, count)
       val ref = (0 until count).map(i => ReferenceSampler.sampleOne(
         nethept, state.inactive, state.inactiveNodes, etaI, model, false, 59L, i)._1)
@@ -658,6 +638,17 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   private def inStar(d: Int, p: Double): CompactGraph =
     CompactGraph.fromEdges(d + 1, (1 to d).map(u => (u, 0, p)))
 
+  /** The first `count` vanilla RR-sets of a fresh context over `inStar`'s
+    * graph `g` with the sources in `active` activated whose root, a set's
+    * first node, is node 0, each with its work. A set rooted at a source is
+    * that source alone.
+    */
+  private def rootedAtZero(g: CompactGraph, active: Set[Int], model: DiffusionModel, seed: Long,
+                           count: Int): Seq[(Array[Int], Long)] = {
+    val ctx = new MRRSamplerCtx(residual(g, 1, active.toArray), model, vanillaRoots = true, seed)
+    Iterator.from(0).map(i => sampleOne(ctx, i.toLong)).filter(_._1(0) == 0).take(count).toSeq
+  }
+
   /** The masks of the l-subsets of d bits, ascending (Gosper's hack). */
   private def subsetMasks(d: Int, l: Int): Seq[Long] =
     if (l == 0) Seq(0L)
@@ -674,10 +665,8 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     for ((d, p) <- cases) {
       val g = inStar(d, p)
       assert(g.sharedP(0) == p && g.icCdf(g.icCdfOff(0)) == math.pow(1 - p, d), s"d = $d, p = $p")
-      val inactive = Array.fill(d + 1)(true)
       // Vanilla RR-sets rooted at 0: 0 plus the sources of its live in-edges.
-      val masks = (0 until draws).map { i =>
-        val (set, _) = MRRSampler.sampleOne(g, inactive, Array(0), 1, IC, true, 61L + d, i)
+      val masks = rootedAtZero(g, Set.empty, IC, 61L + d, draws).map { case (set, _) =>
         assert(set(0) == 0 && set.distinct.length == set.length)
         set.tail.foldLeft(0L)((m, u) => m | 1L << (u - 1))
       }
@@ -702,13 +691,11 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     * inactive source with chance p / (1 − p·|active|), and none otherwise,
     * and returns each set's work.
     */
-  private def assertLtChoice(d: Int, p: Double, active: Set[Int], draws: Int, seed: Long): Seq[Int] = {
+  private def assertLtChoice(d: Int, p: Double, active: Set[Int], draws: Int, seed: Long): Seq[Long] = {
     val g = inStar(d, p)
     assert(g.sharedP(0) == p)
-    val inactive = Array.tabulate(d + 1)(u => !active(u))
     val picked = new Array[Long](d + 1) // picked(0) counts "none"
-    val works = (0 until draws).map { i =>
-      val (set, work) = MRRSampler.sampleOne(g, inactive, Array(0), 1, LT, true, seed, i)
+    val works = rootedAtZero(g, active, LT, seed, draws).map { case (set, work) =>
       assert(set(0) == 0 && set.length <= 2)
       picked(if (set.length == 2) set(1) else 0) += 1
       work
@@ -763,8 +750,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     for (act <- Seq(Array.empty[Int], activated)) {
       val state = new ResidualState(g, 2 + act.length)
       state.activate(act)
-      val ctx = new MRRSamplerCtx(g, state.inactive,
-                                  state.inactiveNodes, state.etaI, model, false, seed)
+      val ctx = new MRRSamplerCtx(state, model, false, seed)
       val theta = 40000
       val cov = Coverage.counts(g.n, ctx.generateLocal(0, theta))
       val gRes = residualGraph(g, state.inactive, model)

@@ -8,10 +8,8 @@ class TrimBSpec extends AnyFunSuite {
 
   import DiffusionModel.IC
 
-  private def ctxFor(g: CompactGraph, eta: Int, seed: Long = 1L): MRRSamplerCtx = {
-    val state = new ResidualState(g, eta)
-    new MRRSamplerCtx(g, state.inactive, state.inactiveNodes, state.etaI, IC, false, seed)
-  }
+  private def ctxFor(g: CompactGraph, eta: Int, seed: Long = 1L): MRRSamplerCtx =
+    new MRRSamplerCtx(new ResidualState(g, eta), IC, false, seed)
 
   test("ρ_1 = 1") {
     assert(TrimB.rho(1) == 1.0)

@@ -13,9 +13,7 @@ class TrimSpec extends AnyFunSuite {
                      preActivate: Array[Int] = Array.empty): (MRRSamplerCtx, ResidualState) = {
     val state = new ResidualState(g, eta)
     if (preActivate.nonEmpty) state.activate(preActivate)
-    val ctx = new MRRSamplerCtx(g, state.inactive,
-                                state.inactiveNodes, state.etaI, model, vanilla, seed)
-    (ctx, state)
+    (new MRRSamplerCtx(state, model, vanilla, seed), state)
   }
 
   /** `TrimB.select` as it was before it skipped the checks below c_min:

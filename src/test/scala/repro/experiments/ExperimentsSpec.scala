@@ -36,6 +36,13 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
              .contains("realizations = 0 must be at least 1"))
   }
 
+  test("Table3Job rejects a realization count that is not a positive integer, naming it") {
+    def rejection(arg: String): String =
+      intercept[IllegalArgumentException](repro.jobs.Table3Job.main(Array(arg))).getMessage
+    assert(rejection("0").contains("realizations = 0 must be positive"))
+    assert(rejection("x").contains("realizations = x is not a number"))
+  }
+
   /** One Table 2 run at scale 0.05, shared by the Table 2 tests. */
   private lazy val table2 = Table2.run(spark, scale = 0.05)
 
