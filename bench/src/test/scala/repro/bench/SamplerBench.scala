@@ -1,9 +1,11 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.Ateuc
 import repro.core.{MRRSamplerCtx, ResidualState, SamplerFixtures}
 import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.{CompactGraph, GraphGen}
+import repro.util.{PoolFixtures, Rng}
 
 /** Sampler layer on nethept: sets per second and nanoseconds per visited
   * node of the driver sampler, on one worker and on all cores.
@@ -19,6 +21,11 @@ import repro.graph.{CompactGraph, GraphGen}
   * A last row prices one sampler call: 2,000 fresh contexts that each
   * `countTo(143)` (TRIM's θ_o on nethept) against one `countTo(286000)`
   * over as many sets, on all cores.
+  *
+  * A second test times observation, Table 3's feasibility check: per cell
+  * of its nethept grid (IC and LT, η/n from 0.01 to 0.2), ATEUC's seed set
+  * and the spreads of 50 realizations, on one participant (while another
+  * thread holds the helpers) and on all cores, asserting equal spreads.
   */
 class SamplerBench extends AnyFunSuite {
 
@@ -88,5 +95,31 @@ class SamplerBench extends AnyFunSuite {
     println(f"$calls%d x countTo(143): ${small * 1e6 / calls}%.1f us per call; " +
             f"countTo(${143 * calls}%d): ${large * 1e6 / calls}%.1f us per 143 sets; " +
             f"fixed cost ${(small - large) * 1e6 / calls}%.1f us per call")
+  }
+
+  test("observation on nethept: Table 3's ATEUC seed sets on 50 realizations, one participant and all cores") {
+    val g = GraphGen.dataset("nethept", scale = 1.0)
+    val cores = Runtime.getRuntime.availableProcessors()
+    println(f"\n=== Observation: nethept, n = ${g.n}, 50 realizations per cell, $cores cores ===")
+    println(f"${"cell"}%-14s ${"seeds"}%6s ${"mean spread"}%11s ${"1-participant ms"}%16s " +
+            f"${"all-core ms"}%11s ${"speed-up"}%8s")
+    val cells = for (model <- Seq(IC, LT); frac <- Seq(0.01, 0.05, 0.1, 0.15, 0.2)) yield {
+      val eta = math.max(1, (g.n * frac).toInt)
+      val seeds = Ateuc.select(g, eta, model, Rng.state(9L, (frac * 100).toLong)).seeds
+      val reals = (0 until 50).map(r => new Realization(g, model, Rng.state(11L, r)))
+      (s"$model, $frac", seeds, () => reals.map(_.spread(seeds)))
+    }
+    // Warm both paths on every cell before timing any.
+    cells.foreach { case (_, _, spreads) => spreads(); PoolFixtures.whileHeld(spreads()) }
+    for ((cell, seeds, spreads) <- cells) {
+      val all = spreads()
+      assert(PoolFixtures.whileHeld(spreads()) == all, cell)
+      // Alternate the two paths, so that drift in the machine hits both.
+      def time(): Double = { val t0 = System.nanoTime(); spreads(); (System.nanoTime() - t0) / 1e9 }
+      val (singles, parallels) = (1 to 3 * Reps).map(_ => (PoolFixtures.whileHeld(time()), time())).unzip
+      val (single, parallel) = (singles.sorted.apply(3 * Reps / 2), parallels.sorted.apply(3 * Reps / 2))
+      println(f"$cell%-14s ${seeds.length}%6d ${all.sum.toDouble / all.length}%11.0f " +
+              f"${single * 1e3}%16.2f ${parallel * 1e3}%11.2f ${single / parallel}%8.2f")
+    }
   }
 }

@@ -12,7 +12,7 @@ runs first alternates from pair to pair. Each run's `/proc/stat` steal delta
 slowed by the host shows as such. The summary gives, per metric, each side's
 median and quartiles and the number of pairs in which the head side reads
 better, by the direction `BENCHMARK.json` gives the metric. Every run's result
-line is appended to `--log` as JSON.
+line is appended to `--log` as JSON, with the run's `--seconds` and `--trace`.
 """
 
 import argparse
@@ -120,6 +120,7 @@ def main():
             if args.log:
                 with open(args.log, "a") as fh:
                     fh.write(json.dumps({"workload": args.workload, "seed": seed, "side": side,
+                                         "seconds": args.seconds, "trace": int(args.trace),
                                          "steal_ticks": steal, "metrics": metrics}) + "\n")
 
     better = directions()

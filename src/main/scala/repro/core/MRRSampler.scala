@@ -5,9 +5,9 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.diffusion.DiffusionModel
 import repro.graph.{CompactGraph, NodeQueue}
-import repro.util.Rng
+import repro.util.{HelperPool, Rng}
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.collection.immutable.ArraySeq
 
 /** Multi-root reverse reachable (mRR) set sampling (§3.3).
@@ -19,15 +19,15 @@ import scala.collection.immutable.ArraySeq
   * reverse BFS from K restricted to the residual graph. With
   * `vanillaRoots = true` the sampler degenerates to single-root RR-sets
   * (k = 1, one draw in [0, n_i)), which is what the ATEUC and AdaptIM
-  * baselines consume. Both steps write into a reused `NodeQueue`, the same
-  * visited set and queue as observation's forward BFS. The reverse BFS does
+  * baselines consume. Both steps write into the drawing thread's reused
+  * `NodeQueue`, one visited set and queue. The reverse BFS does
   * constant expected work at a node whose in-edges share one probability
   * (every node with two or more in-edges under weighted cascade), and one
   * step per in-edge elsewhere.
   *
   * Each set is a pure function of `(seedBase, sampleIndex)`. Sets are drawn
   * and counted on the driver by the calling thread and the helper threads of
-  * `SamplerPool`, up to one per core, each claiming chunks of the index range
+  * `HelperPool`, up to one per core, each claiming chunks of the index range
   * from a shared cursor (`MRRSamplerCtx.growTo`, `countTo` and
   * `generateLocal`). One caller at a time holds the helpers and merges their
   * counts; a concurrent caller samples alone. The RDD fan-out
@@ -49,6 +49,25 @@ object MRRSampler {
     val kLo = ratio.toInt
     val k = if (u < ratio - kLo) kLo + 1 else kLo
     math.min(math.max(1, k), nI)
+  }
+
+  private val queues = new ThreadLocal[NodeQueue]
+  private val countArrays = new ThreadLocal[Array[Int]]
+
+  /** The calling thread's queue, for graphs of up to `n` nodes. */
+  private[core] def queue(n: Int): NodeQueue = {
+    var q = queues.get()
+    if (q == null || q.n < n) { q = new NodeQueue(n); queues.set(q) }
+    q
+  }
+
+  /** The calling thread's count array of at least `n` entries, all zero:
+    * every merge zeroes what it adds.
+    */
+  private[core] def counts(n: Int): Array[Int] = {
+    var c = countArrays.get()
+    if (c == null || c.length < n) { c = new Array[Int](n); countArrays.set(c) }
+    c
   }
 
   /** Draw set `idx` into `s` (read it with `s.result()` or `s.countInto`)
@@ -255,8 +274,6 @@ final class MRRSamplerCtx(
   }
 
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-  /** The calling thread's queue in `draw`. */
-  private var queue: NodeQueue = _
   private var countOnly = false
   private var drawn = 0
   private val coverage = new Array[Int](graph.n)
@@ -330,27 +347,36 @@ final class MRRSamplerCtx(
   /** Draw sets `[from, from + count)` on the driver, set i into
     * `out(i - from)` unless `out` is null, and count them into `cover`
     * unless it is null. The caller and up to `workers` − 1 helpers of
-    * `SamplerPool` (at most one participant per `MinBlock` sets, and no
-    * helper while another caller holds them), each with
-    * its own `NodeQueue`, claim chunks of indices from a shared cursor until
-    * the range is used up. A chunk is half of what is left per participant,
-    * so chunks shrink to single sets at the end and the participants finish
+    * `HelperPool` (at most one participant per `MinBlock` sets, and no
+    * helper while another caller holds them), each with its thread's
+    * `NodeQueue`, claim chunks of indices from a shared cursor until the
+    * range is used up. A chunk is half of what is left per participant, so
+    * chunks shrink to single sets at the end and the participants finish
     * within about one set of each other, however uneven the sets and however
-    * late a helper starts. Counts and work are summed over the participants,
-    * so the output does not depend on the schedule.
+    * late a helper starts. The caller counts into `cover`, each helper into
+    * its thread's count array, which the caller adds into `cover` and zeroes
+    * once every participant has drawn, also when one failed. Counts and work
+    * are summed over the participants, so the output does not depend on the
+    * schedule.
     */
   private def draw(from: Long, count: Int, out: Array[Array[Int]], cover: Array[Int]): Unit = {
     val g = graph
     val participants = math.max(1, math.min(workers, count / MRRSampler.MinBlock))
     val next = new AtomicInteger(0)
-    def drain(s: NodeQueue, local: Array[Int]): Long = {
-      var work = 0L
+    val work = new AtomicLong(0L)
+    val helperCounts = if (cover == null) null else new Array[Array[Int]](participants)
+    def drain(p: Int): Unit = {
+      val s = MRRSampler.queue(g.n)
+      val local =
+        if (cover == null || p == 0) cover
+        else { helperCounts(p) = MRRSampler.counts(g.n); helperCounts(p) }
+      var drawn = 0L
       var i = next.get()
       while (i < count) {
         val end = i + math.max(1, (count - i) / (2 * participants))
         if (next.compareAndSet(i, end)) {
           while (i < end) {
-            work += MRRSampler.sampleInto(
+            drawn += MRRSampler.sampleInto(
               s, g, inactive, inactiveNodes, etaI, model, vanillaRoots, seedBase, from + i)
             if (out != null) out(i) = s.result()
             if (local != null) s.countInto(local)
@@ -359,10 +385,14 @@ final class MRRSamplerCtx(
         }
         i = next.get()
       }
-      work
+      work.addAndGet(drawn)
     }
-    if (queue == null) queue = new NodeQueue(g.n)
-    totalWork += SamplerPool.run(participants - 1, g.n, cover, queue, drain)
+    try HelperPool.run(participants - 1)(drain)
+    finally if (cover != null) for (c <- helperCounts if c != null) {
+      var v = 0
+      while (v < g.n) { cover(v) += c(v); c(v) = 0; v += 1 }
+    }
+    totalWork += work.get
   }
 
   /** RDD fan-out on the running `SparkContext`: the graph, mask and node

@@ -2,11 +2,10 @@ package repro.graph
 
 /** A reusable BFS frontier over nodes `0 until n`: an epoch-stamped visited
   * set plus the visited nodes in visit order, which is also the BFS queue.
-  * The reverse mRR sampler keeps one per worker, so that drawing a set
-  * allocates at most its output array; the forward observation BFS uses one
-  * per call. Not thread-safe.
+  * The reverse mRR sampler keeps one per thread, so that drawing a set
+  * allocates at most its output array. Not thread-safe.
   */
-private[repro] final class NodeQueue(n: Int) {
+private[repro] final class NodeQueue(val n: Int) {
   /** `mark(v) == epoch` iff v is in the current set; an epoch bump clears
     * every mark, and the array is zeroed only when the epoch wraps.
     */

@@ -7,7 +7,7 @@ import repro.graph.CompactGraphOps._
 import repro.graph.{CompactGraph, GraphGen, NodeQueue}
 import org.apache.commons.math3.distribution.{BinomialDistribution, ChiSquaredDistribution}
 import org.apache.commons.math3.stat.inference.ChiSquareTest
-import repro.util.Rng
+import repro.util.{HelperPool, Rng}
 
 class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
@@ -149,8 +149,8 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
           assert(a(i).toSeq == b(i).toSeq, s"$name set $i of $count")
         }
         assert(local.totalWork == dist.totalWork, s"$name, $count sets")
-        // Each worker reuses one NodeQueue; a fresh one per set, that of a
-        // fresh context, gives the same.
+        // Each worker reuses its thread's NodeQueue; each set drawn alone
+        // through a fresh context gives the same.
         (0 until count by 7).foreach { i =>
           val (set, _) = sampleOne(make(cores), i.toLong)
           assert(a(i).toSeq == set.toSeq, s"$name set $i of $count vs a fresh context")
@@ -488,26 +488,25 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
 
   test("a failing sampler worker surfaces in the caller, and the next call is unaffected") {
     assume(Runtime.getRuntime.availableProcessors() > 1, "the pool has no helper on one core")
-    // Every helper that joins counts node 5, then throws; the caller waits
-    // for one to throw. The merge still runs, so the counts reach `cover`
-    // and the helpers' arrays are left zero.
+    // Every helper that joins counts node 5 into its own array, then throws;
+    // the caller waits for one to throw. The failure surfaces once every
+    // helper that joined has returned, so every count is in place by then.
     val caller = Thread.currentThread()
     val thrown = new java.util.concurrent.atomic.AtomicInteger(0)
-    val cover = new Array[Int](nethept.n)
+    val counts = Array.fill(HelperPool.size + 1)(new Array[Int](nethept.n))
     val e = intercept[IllegalStateException] {
-      SamplerPool.run(3, nethept.n, cover, new NodeQueue(nethept.n), (_, counts) => {
+      HelperPool.run(3) { p =>
         if (Thread.currentThread() ne caller) {
-          counts(5) += 1
+          counts(p)(5) += 1
           thrown.incrementAndGet()
           throw new IllegalStateException("set 7 failed")
         }
         val deadline = System.nanoTime() + 10000000000L
         while (thrown.get == 0 && System.nanoTime() < deadline) Thread.sleep(1)
-        0L
-      })
+      }
     }
     assert(e.getMessage == "set 7 failed")
-    assert(cover(5) == thrown.get && cover.sum == thrown.get)
+    assert(counts.map(_(5)).sum == thrown.get && counts.map(_.sum).sum == thrown.get)
     // In the sampler itself: a copy of nethept whose in-edges into every
     // 50th node get a source outside the graph, written into `inSrc` after
     // the graph constructor's checks, fails the sets that reach such a node,
@@ -567,7 +566,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val forwarded = Asti.run(spark, spark.sparkContext.broadcast(g), g.n / 10, 0.5, TrimSelector,
                              IC, 3L, 5L)
     assert(forwarded.copy(wallMillis = plain.wallMillis) == plain)
-    val pool = SamplerPool.threads
+    val pool = HelperPool.threads
     val cores = Runtime.getRuntime.availableProcessors()
     assert(pool.length <= cores - 1)
     if (cores > 1) assert(pool.nonEmpty, "a solve on more than one core used no helper")

@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.diffusion.RealizationOps._
 import repro.graph.CompactGraphOps._
 import repro.graph.{CompactGraph, GraphGen}
-import repro.util.Rng
+import repro.util.{PoolFixtures, Rng}
 
 class RealizationSpec extends AnyFunSuite with SparkSpec {
 
@@ -144,7 +144,8 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
   }
 
   /** Reference BFS with a boxed `ArrayDeque` queue and a `liveInto` draw per
-    * examined edge; `forwardReachable` must match it in content and order.
+    * examined edge, in visit order; `forwardReachable` must return its nodes
+    * in ascending order.
     */
   private def boxedReachable(r: Realization, seeds: Array[Int], eligible: Array[Boolean]): Array[Int] = {
     val g = r.graph
@@ -186,10 +187,103 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
         if (seeds.nonEmpty) mask(seeds(0)) = false // an ineligible seed
         for (eligible <- Seq(null, mask)) {
           val fast = r.forwardReachable(seeds, eligible).toSeq
-          val ref = boxedReachable(r, seeds, eligible).toSeq
+          val ref = boxedReachable(r, seeds, eligible).sorted.toSeq
           assert(fast == ref, s"trial $trial, $model, mask ${eligible != null}")
+          assert(r.spread(seeds, eligible) == ref.length, s"trial $trial, $model, mask ${eligible != null}")
         }
       }
+    }
+  }
+
+  /** Traversals for the parallel contract, each with its boxed reference:
+    * nethept ×0.05 and random graphs of 200–500 nodes (weighted cascade, IC
+    * and LT; uniform probabilities in [0, 1), IC), from 1, 5 and 100 seeds
+    * (100 call in the helpers at once), with no mask and with one that
+    * excludes a fifth of the nodes.
+    */
+  private lazy val contract: Seq[(String, Realization, Array[Int], Array[Boolean], Seq[Int])] = {
+    val rnd = new scala.util.Random(29)
+    val graphs = ("nethept ×0.05", GraphGen.dataset("nethept", scale = 0.05), true) +:
+      (0 until 4).flatMap { i =>
+        val n = 200 + rnd.nextInt(300)
+        val arcs = Seq.fill(6 * n)((rnd.nextInt(n), rnd.nextInt(n))).filter { case (u, v) => u != v }.distinct
+        Seq((s"random $i, weighted cascade", CompactGraph.weightedCascade(n, arcs.sorted), true),
+            (s"random $i, uniform p", CompactGraph.fromEdges(n, arcs.map { case (u, v) => (u, v, rnd.nextDouble()) }), false))
+      }
+    for {
+      (name, g, lt) <- graphs
+      model <- if (lt) DiffusionModel.all else Seq(DiffusionModel.IC)
+      k <- Seq(1, 5, 100)
+      masked <- Seq(false, true)
+    } yield {
+      val r = new Realization(g, model, rnd.nextLong())
+      val seeds = Array.fill(k)(rnd.nextInt(g.n))
+      val eligible = if (masked) Array.fill(g.n)(rnd.nextDouble() < 0.8) else null
+      (s"$name, $model, $k seeds, mask $masked", r, seeds, eligible,
+       boxedReachable(r, seeds, eligible).sorted.toSeq)
+    }
+  }
+
+  test("a call while the helpers are free returns what a call while another thread holds them returns") {
+    assert(contract.exists(_._5.length >= 300), "no traversal reaches 300 nodes")
+    contract.foreach { case (name, r, seeds, eligible, ref) =>
+      val free = r.forwardReachable(seeds, eligible)
+      val alone = PoolFixtures.whileHeld(r.forwardReachable(seeds, eligible))
+      assert(free.toSeq == ref, name)
+      assert(alone.toSeq == ref, name)
+      assert(r.spread(seeds, eligible) == ref.length &&
+             PoolFixtures.whileHeld(r.spread(seeds, eligible)) == ref.length, name)
+    }
+  }
+
+  test("four threads sharing one realization, calling it at once, each get the reference result") {
+    contract.foreach { case (name, r, seeds, eligible, ref) =>
+      val start = new java.util.concurrent.CyclicBarrier(4)
+      val results = new Array[Seq[Seq[Int]]](4)
+      val threads = (0 until 4).map { t =>
+        new Thread(() => {
+          start.await()
+          results(t) = (0 until 5).map(_ => r.forwardReachable(seeds, eligible).toSeq)
+        })
+      }
+      threads.foreach(_.start())
+      threads.foreach(_.join(60000))
+      results.zipWithIndex.foreach { case (calls, t) =>
+        assert(calls != null, s"$name: thread $t did not finish")
+        assert(calls.forall(_ == ref), s"$name, thread $t")
+      }
+    }
+  }
+
+  test("the per-thread scratch across its epoch wrap gives the same reached sets") {
+    val largest = contract.map(_._2.graph.n).max
+    val s = Realization.scratch(largest, lt = true)
+    s.epoch = Int.MaxValue - 5
+    // IC and LT calls alternate, so LT's cached draws span the wrap too.
+    val (ic, lt) = contract.take(12).splitAt(6)
+    val calls = ic.zip(lt).flatMap { case (a, b) => Seq(a, b) }
+    calls.foreach { case (name, r, seeds, eligible, ref) =>
+      assert(r.forwardReachable(seeds, eligible).toSeq == ref, name)
+    }
+    assert(Realization.scratch(largest, lt = true) eq s, "the scratch was replaced")
+    assert(s.epoch > 0 && s.epoch < calls.length, s"epoch ${s.epoch} did not wrap")
+  }
+
+  test("a traversal that fails in any participant surfaces in the caller, and the next call is unaffected") {
+    // Every edge live, then every 20th edge's target overwritten with a node
+    // outside any scratch after the graph constructor's checks: a traversal
+    // from 100 seeds fails on whichever participant expands such an edge.
+    val g = GraphGen.dataset("nethept", scale = 0.05)
+    val dsts = g.dsts.clone()
+    val broken = new CompactGraph(g.n, g.srcs, dsts, Array.fill(g.m)(1.0), g.outOff, g.inOff, g.inEdge)
+    (0 until g.m by 20).foreach(e => dsts(e) = -5)
+    val rnd = new scala.util.Random(31)
+    (1 to 20).foreach { call =>
+      val seeds = Array.fill(100)(rnd.nextInt(g.n))
+      intercept[IndexOutOfBoundsException](new Realization(broken, DiffusionModel.IC, call).spread(seeds))
+    }
+    contract.foreach { case (name, r, seeds, eligible, ref) =>
+      assert(r.forwardReachable(seeds, eligible).toSeq == ref, name)
     }
   }
 }
