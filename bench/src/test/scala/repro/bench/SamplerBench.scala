@@ -16,7 +16,10 @@ import repro.util.{PoolFixtures, Rng}
   * draws a pool with `generateLocal`, `counts` counts the same sets with
   * `countTo` and keeps none. One worker means a context built with
   * `workers = 1`, which samples on the calling thread alone. Each figure is
-  * the median of `Reps` timed passes after two untimed ones.
+  * the median of `Reps` timed passes after two untimed ones. The all-core
+  * rows of one run can still be off by up to 3×: `LT, fresh, mRR` read 1.2M
+  * and 4.6M sets/s in two runs of code paths that a focused probe then
+  * timed as equal. Compare two trees by alternated, repeated runs.
   *
   * A last row prices one sampler call: 2,000 fresh contexts that each
   * `countTo(143)` (TRIM's θ_o on nethept) against one `countTo(286000)`
@@ -25,7 +28,9 @@ import repro.util.{PoolFixtures, Rng}
   * A second test times observation, Table 3's feasibility check: per cell
   * of its nethept grid (IC and LT, η/n from 0.01 to 0.2), ATEUC's seed set
   * and the spreads of 50 realizations, on one participant (while another
-  * thread holds the helpers) and on all cores, asserting equal spreads.
+  * thread holds the helpers) and on all cores, asserting equal spreads. It
+  * ends with each model's five cells summed, on one participant and on all
+  * cores.
   */
 class SamplerBench extends AnyFunSuite {
 
@@ -103,7 +108,8 @@ class SamplerBench extends AnyFunSuite {
     println(f"\n=== Observation: nethept, n = ${g.n}, 50 realizations per cell, $cores cores ===")
     println(f"${"cell"}%-14s ${"seeds"}%6s ${"mean spread"}%11s ${"1-participant ms"}%16s " +
             f"${"all-core ms"}%11s ${"speed-up"}%8s")
-    val cells = for (model <- Seq(IC, LT); frac <- Seq(0.01, 0.05, 0.1, 0.15, 0.2)) yield {
+    val fracs = Seq(0.01, 0.05, 0.1, 0.15, 0.2)
+    val cells = for (model <- Seq(IC, LT); frac <- fracs) yield {
       val eta = math.max(1, (g.n * frac).toInt)
       val seeds = Ateuc.select(g, eta, model, Rng.state(9L, (frac * 100).toLong)).seeds
       val reals = (0 until 50).map(r => new Realization(g, model, Rng.state(11L, r)))
@@ -111,7 +117,7 @@ class SamplerBench extends AnyFunSuite {
     }
     // Warm both paths on every cell before timing any.
     cells.foreach { case (_, _, spreads) => spreads(); PoolFixtures.whileHeld(spreads()) }
-    for ((cell, seeds, spreads) <- cells) {
+    val times = for ((cell, seeds, spreads) <- cells) yield {
       val all = spreads()
       assert(PoolFixtures.whileHeld(spreads()) == all, cell)
       // Alternate the two paths, so that drift in the machine hits both.
@@ -119,6 +125,12 @@ class SamplerBench extends AnyFunSuite {
       val (singles, parallels) = (1 to 3 * Reps).map(_ => (PoolFixtures.whileHeld(time()), time())).unzip
       val (single, parallel) = (singles.sorted.apply(3 * Reps / 2), parallels.sorted.apply(3 * Reps / 2))
       println(f"$cell%-14s ${seeds.length}%6d ${all.sum.toDouble / all.length}%11.0f " +
+              f"${single * 1e3}%16.2f ${parallel * 1e3}%11.2f ${single / parallel}%8.2f")
+      (single, parallel)
+    }
+    for ((model, cellTimes) <- Seq(IC, LT).zip(times.grouped(fracs.length))) {
+      val (single, parallel) = (cellTimes.map(_._1).sum, cellTimes.map(_._2).sum)
+      println(f"${s"$model, sum"}%-14s ${""}%6s ${""}%11s " +
               f"${single * 1e3}%16.2f ${parallel * 1e3}%11.2f ${single / parallel}%8.2f")
     }
   }

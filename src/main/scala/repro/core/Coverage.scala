@@ -35,12 +35,10 @@ object Coverage {
     * over node ids `0 until counts.length` are `counts` (left unchanged).
     * Yields picks on demand, in order, each with its marginal gain and the
     * cumulative number of covered sets: gain descending, ties to the smaller
-    * node id. It ends when no node adds coverage. The first pick is the
-    * argmax of the counts; the inverted index and the heap are built only
-    * when a second pick is pulled, so a caller that stops early pays only
-    * for the picks it takes. Shared by TRIM-B's `Greedy(R)` (Algorithm 3,
-    * Line 8; TRIM's argmax at b = 1) and ATEUC, which pulls only up to its
-    * certified prefix S_u.
+    * node id. It ends when no node adds coverage. Making it builds the
+    * inverted index and the heap, one pass over `sets`. Shared by TRIM-B's
+    * `Greedy(R)` (Algorithm 3, Line 8, at b ≥ 2; at b = 1 TRIM reads
+    * `topNode`) and ATEUC, which pulls only up to its certified prefix S_u.
     *
     * The iterator reads `sets` and `counts` as they are when it is pulled:
     * use it up or drop it before the pool grows (`MRRSamplerCtx.growTo`).
@@ -73,38 +71,59 @@ object Coverage {
     (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
   }
 
-  /** The iterator behind `greedy`. Picks after the first come from a max-heap
-    * of `Long` keys `gain << 31 | (Int.MaxValue - u)`, so key order is gain
-    * descending, then node id ascending. Gains only fall as sets get
-    * covered, so a key is an upper bound of its node's gain: a popped key
-    * that is stale is re-keyed and sifted down (or dropped at gain 0), and
-    * a current one is the exact greedy pick.
+  /** The ids of the sets holding each node, node v's at `[off(v), off(v + 1))`,
+    * with `off` filled here from `counts`; rejects counts that do not match.
+    */
+  private def invertedIndex(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]],
+                            off: Array[Int]): Array[Int] = {
+    val n = counts.length
+    var v = 0
+    while (v < n) { off(v + 1) = off(v) + counts(v); v += 1 }
+    val inv = new Array[Int](off(n))
+    val cursor = java.util.Arrays.copyOf(off, n)
+    var i = 0
+    while (i < sets.length) {
+      val set = sets(i)
+      var j = 0
+      while (j < set.length) { val u = set(j); inv(cursor(u)) = i; cursor(u) += 1; j += 1 }
+      i += 1
+    }
+    v = 0
+    while (v < n) {
+      require(cursor(v) == off(v + 1), s"counts($v) = ${counts(v)} does not match the sets")
+      v += 1
+    }
+    inv
+  }
+
+  /** The iterator behind `greedy`: an inverted index node -> set ids, laid
+    * out by `counts`, and a max-heap of `Long` keys
+    * `gain << 31 | (Int.MaxValue - u)`, so key order is gain descending,
+    * then node id ascending. Gains only fall as sets get covered, so a key
+    * is an upper bound of its node's gain: a popped key that is stale is
+    * re-keyed and sifted down (or dropped at gain 0), and a current one is
+    * the exact greedy pick.
     */
   private final class LazyGreedy(counts: Array[Int], sets: collection.IndexedSeq[Array[Int]])
       extends Iterator[(Int, Int, Int)] {
+    // The scans run in methods, not in the constructor body: HotSpot ran
+    // them there several times slower (up to 20× for the index alone) over
+    // the first hundred or so iterators, which doubled ATEUC's select time.
     private val n = counts.length
-    private val (first, firstGain) = if (n > 0) topNode(counts) else (-1, 0)
-    private var picked = 0
-    // Built on the second pull.
-    private var gains: Array[Int] = _
-    private var invOff: Array[Int] = _
-    private var inv: Array[Int] = _
-    private var covered: Array[Boolean] = _
+    private val gains = counts.clone()
+    private val covered = new Array[Boolean](sets.length)
     private var coveredCount = 0
-    private var heap: Array[Long] = _
+    private val invOff = new Array[Int](n + 1)
+    private val inv = invertedIndex(counts, sets, invOff)
+    private val heap = new Array[Long](n)
     private var heapSize = 0
+    heapify()
     // The next pick, found by hasNext; -1 when not yet looked for.
     private var nextNode = -1
     private var nextGain = 0
 
     def hasNext: Boolean = {
-      if (nextNode < 0) {
-        if (picked == 0) { if (firstGain > 0) { nextNode = first; nextGain = firstGain } }
-        else {
-          if (heap == null) build()
-          popCurrent()
-        }
-      }
+      if (nextNode < 0) popCurrent()
       nextNode >= 0
     }
 
@@ -113,39 +132,13 @@ object Coverage {
       val u = nextNode
       val gain = nextGain
       nextNode = -1
-      picked += 1
-      if (picked == 1) coveredCount = gain else pick(u)
+      pick(u)
       (u, gain, coveredCount)
     }
 
-    /** Inverted index node -> set ids, laid out by `counts`; then the first
-      * pick applied, and the heap of the remaining positive gains.
-      */
-    private def build(): Unit = {
-      invOff = new Array[Int](n + 1)
+    /** The heap of the positive gains, built in O(n). */
+    private def heapify(): Unit = {
       var v = 0
-      while (v < n) { invOff(v + 1) = invOff(v) + counts(v); v += 1 }
-      inv = new Array[Int](invOff(n))
-      val cursor = java.util.Arrays.copyOf(invOff, n)
-      var i = 0
-      while (i < sets.length) {
-        val set = sets(i)
-        var j = 0
-        while (j < set.length) { val u = set(j); inv(cursor(u)) = i; cursor(u) += 1; j += 1 }
-        i += 1
-      }
-      v = 0
-      while (v < n) {
-        require(cursor(v) == invOff(v + 1), s"counts($v) = ${counts(v)} does not match the sets")
-        v += 1
-      }
-      gains = counts.clone()
-      covered = new Array[Boolean](sets.length)
-      coveredCount = 0
-      pick(first)
-
-      heap = new Array[Long](n)
-      v = 0
       while (v < n) {
         if (gains(v) > 0) { heap(heapSize) = key(gains(v), v); heapSize += 1 }
         v += 1

@@ -165,8 +165,9 @@ object MRRSampler {
     * renormalizes over {inactive in-edges} ∪ {none}: denominator
     * 1 − Σ_{active u} p(u,v) = Σ_{inactive u} p(u,v) + (1 − Σ_all p).
     * At a node whose d in-edges share one probability p, one uniform x picks
-    * "none" if x ≥ p·d and in-edge ⌊x/p⌋ otherwise, redrawn while that edge's
-    * source is active; after `LtRejections` draws the exact scan decides.
+    * "none" or an in-edge by `CompactGraph.ltSlot`, the rule an LT realization
+    * draws by too, redrawn while that edge's source is active; after
+    * `LtRejections` draws the exact scan decides.
     * Each step draws from the exact conditional, so their mixture does too.
     */
   private def reverseLT(s: NodeQueue, g: CompactGraph, inactive: Array[Boolean],
@@ -184,14 +185,13 @@ object MRRSampler {
       var chosen = Undrawn // then the chosen source, or -1 for none
       if (p == p) {
         val d = end - from
-        val live = p * d
         var tries = 0
         while (chosen == Undrawn && tries < LtRejections) {
-          val x = rng.nextDouble()
+          val t = CompactGraph.ltSlot(rng.nextDouble(), p, d)
           tries += 1
-          if (x >= live) chosen = -1
+          if (t < 0) chosen = -1
           else {
-            val u = inSrc(from + math.min((x / p).toInt, d - 1))
+            val u = inSrc(from + t)
             if (inactive(u)) chosen = u
           }
         }
@@ -276,6 +276,7 @@ final class MRRSamplerCtx(
   private val pool = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
   private var countOnly = false
   private var drawn = 0
+  private var work = 0L
   private val coverage = new Array[Int](graph.n)
   if (model == DiffusionModel.LT) graph.requireLT()
 
@@ -283,7 +284,7 @@ final class MRRSamplerCtx(
     * (root draws not counted), summed over all `growTo`, `countTo`,
     * `generateLocal` and `generateSpark` calls.
     */
-  var totalWork: Long = 0L
+  def totalWork: Long = work
 
   def nI: Int = inactiveNodes.length
 
@@ -363,7 +364,7 @@ final class MRRSamplerCtx(
     val g = graph
     val participants = math.max(1, math.min(workers, count / MRRSampler.MinBlock))
     val next = new AtomicInteger(0)
-    val work = new AtomicLong(0L)
+    val draws = new AtomicLong(0L)
     val helperCounts = if (cover == null) null else new Array[Array[Int]](participants)
     def drain(p: Int): Unit = {
       val s = MRRSampler.queue(g.n)
@@ -385,14 +386,14 @@ final class MRRSamplerCtx(
         }
         i = next.get()
       }
-      work.addAndGet(drawn)
+      draws.addAndGet(drawn)
     }
     try HelperPool.run(participants - 1)(drain)
     finally if (cover != null) for (c <- helperCounts if c != null) {
       var v = 0
       while (v < g.n) { cover(v) += c(v); c(v) = 0; v += 1 }
     }
-    totalWork += work.get
+    work += draws.get
   }
 
   /** RDD fan-out on the running `SparkContext`: the graph, mask and node
@@ -413,14 +414,14 @@ final class MRRSamplerCtx(
           val g = graphB.value
           val s = new NodeQueue(g.n)
           idxs.map { idx =>
-            val work = MRRSampler.sampleInto(
+            val draws = MRRSampler.sampleInto(
               s, g, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
-            (s.result(), work.toLong)
+            (s.result(), draws.toLong)
           }
         }
         .collect()
       finally { graphB.destroy(); inactiveB.destroy(); nodesB.destroy() }
-    totalWork += results.iterator.map(_._2).sum
+    work += results.iterator.map(_._2).sum
     // `range` slices the indices in order and `collect` keeps partition
     // order, so the sets come back in stream order.
     ArraySeq.unsafeWrapArray(results.map(_._1))

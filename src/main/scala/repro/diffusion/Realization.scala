@@ -26,20 +26,31 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
   /** IC: is edge e live under φ? */
   def icLive(e: Int): Boolean = Rng.keyedUniform(key, e) < graph.probs(e)
 
-  /** LT: the single chosen in-edge id of node v, or -1 for "none".
-    * The draw walks v's in-edges in deterministic (edge-id) order.
+  /** LT: the single chosen in-edge id of node v, or -1 for "none", from one
+    * uniform u hashed from (seed, v). Where v's in-edges share one
+    * probability (`CompactGraph.sharedP`), `CompactGraph.ltSlot` picks it in
+    * O(1), by the reverse sampler's rule; elsewhere the draw walks v's
+    * in-edges in edge-id order and picks the first whose running sum of
+    * probabilities exceeds u.
     */
   def ltChosen(v: Int): Int = {
     val u = Rng.keyedUniform(key, LtSalt ^ v.toLong)
-    var acc = 0.0
-    var i = graph.inOff(v)
-    while (i < graph.inOff(v + 1)) {
-      val e = graph.inEdge(i)
-      acc += graph.probs(e)
-      if (u < acc) return e
-      i += 1
+    val from = graph.inOff(v)
+    val p = graph.sharedP(v)
+    if (p == p) {
+      val t = CompactGraph.ltSlot(u, p, graph.inOff(v + 1) - from)
+      if (t < 0) -1 else graph.inEdge(from + t)
+    } else {
+      var acc = 0.0
+      var i = from
+      while (i < graph.inOff(v + 1)) {
+        val e = graph.inEdge(i)
+        acc += graph.probs(e)
+        if (u < acc) return e
+        i += 1
+      }
+      -1
     }
-    -1
   }
 
   /** Forward-reachable set from `seeds` through live edges, restricted to
@@ -73,7 +84,7 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
     * The traversal ends when every reserved slot has been expanded.
     */
   private def reach[A](seeds: Array[Int], eligible: Array[Boolean])(read: (Realization.Scratch, Int) => A): A = {
-    val s = Realization.scratch(graph.n, model == DiffusionModel.LT)
+    val s = Realization.scratch(graph.n)
     s.begin()
     var size = 0
     try {
@@ -105,9 +116,9 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
   private def expand(s: Realization.Scratch, eligible: Array[Boolean], participants: Int,
                      backlog: Int): Boolean = {
     import Realization.{Count, Failed, Head}
-    val (outOff, dsts, probs) = (graph.outOff, graph.dsts, graph.probs)
+    val (outOff, dsts) = (graph.outOff, graph.dsts)
     val (mark, slots, cursors, epoch) = (s.mark, s.slots, s.cursors, s.epoch)
-    val lt = if (model == DiffusionModel.LT) s.lt else null
+    val lt = model == DiffusionModel.LT
     // Targets claimed while expanding a chunk, published together.
     var found = new Array[Int](64)
     try {
@@ -130,23 +141,11 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
               while (e < last) {
                 val v = dsts(e)
                 val m = mark.getPlain(v)
-                if (m != epoch && (eligible == null || eligible(v))) {
-                  val live =
-                    if (lt == null) Rng.keyedUniform(key, e) < probs(e) // icLive(e)
-                    else {
-                      // Epoch in the high half, 2 + the chosen in-edge in the low.
-                      var c = lt.getOpaque(v)
-                      if ((c >>> 32).toInt != epoch) {
-                        c = (epoch.toLong << 32) | (ltChosen(v) + 2)
-                        lt.setOpaque(v, c)
-                      }
-                      c.toInt - 2 == e
-                    }
-                  if (live && mark.compareAndSet(v, m, epoch)) {
-                    if (k == found.length) found = java.util.Arrays.copyOf(found, 2 * k)
-                    found(k) = v
-                    k += 1
-                  }
+                if (m != epoch && (eligible == null || eligible(v)) &&
+                    (if (lt) ltChosen(v) == e else icLive(e)) && mark.compareAndSet(v, m, epoch)) {
+                  if (k == found.length) found = java.util.Arrays.copyOf(found, 2 * k)
+                  found(k) = v
+                  k += 1
                 }
                 e += 1
               }
@@ -187,24 +186,22 @@ object Realization {
     * of up to `n` nodes. `mark(v) == epoch` iff v is reached in the current
     * call, so a call begins by bumping the epoch, and the marks are zeroed
     * only when it wraps. `slots(i)` is 1 + the i-th reserved node once it is
-    * published, 0 before; a call zeroes the slots it used when it ends. Under
-    * LT, `lt(v)` caches v's chosen in-edge for the epoch in its high half.
+    * published, 0 before; a call zeroes the slots it used when it ends.
     * Only the caller writes outside a traversal (plain writes: the pool's
     * hand-off publishes them to the helpers); inside one, marks are claimed
-    * by CAS, slots published by release writes, and the LT cache holds pure
-    * draws, so a racing rewrite stores the same value.
+    * by CAS and slots published by release writes. Edge liveness is a pure
+    * hash, recomputed wherever it is needed, so nothing else is shared.
     */
   private[diffusion] final class Scratch(val n: Int) {
     val mark = new AtomicIntegerArray(n)
     val slots = new AtomicIntegerArray(n)
-    var lt: AtomicLongArray = _
     var epoch = 0
     val cursors = new AtomicLongArray(Failed + 8)
 
     def begin(): Unit = {
       if (epoch == Int.MaxValue) {
         var v = 0
-        while (v < n) { mark.setPlain(v, 0); if (lt != null) lt.setPlain(v, 0L); v += 1 }
+        while (v < n) { mark.setPlain(v, 0); v += 1 }
         epoch = 0
       }
       epoch += 1
@@ -223,13 +220,10 @@ object Realization {
 
   private val scratches = new ThreadLocal[Scratch]
 
-  /** The calling thread's scratch, for graphs of `n` nodes, with an LT
-    * cache if `lt`.
-    */
-  private[diffusion] def scratch(n: Int, lt: Boolean): Scratch = {
+  /** The calling thread's scratch, for graphs of `n` nodes. */
+  private[diffusion] def scratch(n: Int): Scratch = {
     var s = scratches.get()
     if (s == null || s.n < n) { s = new Scratch(n); scratches.set(s) }
-    if (lt && s.lt == null) s.lt = new AtomicLongArray(s.n)
     s
   }
 }

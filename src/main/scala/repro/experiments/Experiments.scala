@@ -118,7 +118,7 @@ object Table3 {
   )
 
   def runCell(g: CompactGraph, dataset: String, model: DiffusionModel, etaFrac: Double,
-              realizations: Int, eps: Double, seed: Long): Cell = {
+              realizations: Int, seed: Long): Cell = {
     require(realizations >= 1, s"realizations = $realizations must be at least 1")
     val eta = math.max(1, (g.n * etaFrac).toInt)
     val ateuc = Ateuc.select(g, eta, model, Rng.state(seed, 1L))
@@ -126,7 +126,7 @@ object Table3 {
     var astiSeedSum = 0.0
     (0 until realizations).foreach { r =>
       val realSeed = Rng.state(seed, 1000L + r)
-      val asti = Asti.run(g, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
+      val asti = Asti.run(g, eta, ExpConfig.eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
       require(asti.finalSpread >= eta,
         s"ASTI must always reach η; got ${asti.finalSpread} < $eta")
       astiSeedSum += asti.numSeeds
@@ -137,20 +137,16 @@ object Table3 {
          ateuc.seeds.length, feasible, realizations)
   }
 
-  def run(datasets: Seq[String] = GraphGen.datasets.map(_.name),
-          models: Seq[DiffusionModel] = DiffusionModel.all,
-          realizations: Int = ExpConfig.realizations,
-          eps: Double = ExpConfig.eps,
-          scale: Double = ExpConfig.scale,
-          seed: Long = 1234L): Seq[Cell] =
+  /** Every cell of the grid at `ExpConfig.scale`, `realizations` per cell. */
+  def run(realizations: Int = ExpConfig.realizations): Seq[Cell] =
     for {
-      dataset <- datasets
-      g = GraphGen.dataset(dataset, scale, ExpConfig.graphSeed)
-      model <- models
+      dataset <- GraphGen.datasets.map(_.name)
+      g = GraphGen.dataset(dataset, ExpConfig.scale, ExpConfig.graphSeed)
+      model <- DiffusionModel.all
       frac <- ExpConfig.fracsFor(dataset)
     } yield {
-      val cell = runCell(g, dataset, model, frac, realizations, eps,
-                         Rng.state(seed, (dataset + model.name + frac).hashCode.toLong))
+      val cell = runCell(g, dataset, model, frac, realizations,
+                         Rng.state(1234L, (dataset + model.name + frac).hashCode.toLong))
       Console.err.println(s"[Table3] ${format(Seq(cell))}")
       cell
     }
@@ -186,7 +182,7 @@ object AlgoComparison {
                        realizations: Int)
 
   def run(dataset: String, model: DiffusionModel, etaFrac: Double,
-          realizations: Int = ExpConfig.realizations, eps: Double = ExpConfig.eps,
+          realizations: Int = ExpConfig.realizations,
           scale: Double = ExpConfig.scale, seed: Long = 99L): Seq[Row] = {
     require(realizations >= 1, s"realizations = $realizations must be at least 1")
     val g = GraphGen.dataset(dataset, scale, ExpConfig.graphSeed)
@@ -196,7 +192,7 @@ object AlgoComparison {
     val rows = adaptive.map { sel =>
       var seeds = 0.0; var samples = 0.0; var work = 0.0; var millis = 0.0; var feas = 0
       (0 until realizations).foreach { r =>
-        val res = Asti.run(g, eta, eps, sel, model,
+        val res = Asti.run(g, eta, ExpConfig.eps, sel, model,
                            Rng.state(seed, 10L + r), Rng.state(seed, 20L + r))
         seeds += res.numSeeds; samples += res.samples; work += res.work
         millis += res.wallMillis

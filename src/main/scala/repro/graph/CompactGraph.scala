@@ -51,10 +51,11 @@ final class CompactGraph(
 
   /** Per node v: the probability p that all d = indeg(v) of its in-edges
     * share, where the reverse sampler draws v's live in-edges in constant
-    * expected work; NaN where it takes the per-edge path. A node qualifies
-    * when p ∈ (0, 1) and (1 − p)^d is a normal double, so IC's binomial
-    * inversion never starts from an underflowed 0. Under weighted cascade
-    * every node with d ≥ 2 qualifies, since (1 − 1/d)^d ≥ 1/4.
+    * expected work, and an LT realization picks v's in-edge by
+    * `CompactGraph.ltSlot`; NaN where both take the per-edge path. A node
+    * qualifies when p ∈ (0, 1) and (1 − p)^d is a normal double, so IC's
+    * binomial inversion never starts from an underflowed 0. Under weighted
+    * cascade every node with d ≥ 2 qualifies, since (1 − 1/d)^d ≥ 1/4.
     */
   val sharedP: Array[Double] = CompactGraph.sharedProbs(this)
 
@@ -92,6 +93,14 @@ final class CompactGraph(
 }
 
 object CompactGraph {
+
+  /** LT's pick at a node whose d in-edges share probability p (`sharedP`),
+    * from a uniform x in [0, 1): "none" (-1) if x ≥ p·d, else in-edge position
+    * ⌊x/p⌋ capped at d − 1, each with probability p. The reverse sampler and
+    * `Realization.ltChosen` both draw by it; kept small so HotSpot inlines it.
+    */
+  def ltSlot(x: Double, p: Double, d: Int): Int =
+    if (x >= p * d) -1 else math.min((x / p).toInt, d - 1)
 
   /** Build from explicit weighted edges. Node ids must lie in [0, n). Edges
     * are numbered by a stable sort on (src, dst), whatever order they come in.

@@ -83,7 +83,6 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
     val rnd = new scala.util.Random(7)
     (0 until 5).foreach { trial =>
       val ss = IndexedSeq.fill(40)(Array.fill(rnd.nextInt(5) + 1)(rnd.nextInt(12)).distinct)
-      // maxPicks = 1 takes the index-free argmax path.
       for (picks <- Seq(12, 1)) {
         val fast = Coverage.greedySequence(12, ss, picks)
         val slow = naiveGreedy(12, ss, picks)
@@ -174,8 +173,6 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
   test("greedy rejects counts that do not match the sets") {
     val wrong = Coverage.counts(5, sets)
     wrong(1) += 1
-    val it = Coverage.greedy(wrong, sets)
-    it.next()
-    intercept[IllegalArgumentException](it.hasNext)
+    intercept[IllegalArgumentException](Coverage.greedy(wrong, sets))
   }
 }

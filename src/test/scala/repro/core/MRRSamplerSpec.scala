@@ -212,7 +212,7 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("TrimB.select and Ateuc.select leave ctx counts unchanged") {
-    // Greedy beyond the first pick decrements gains; it must do so on a copy.
+    // Greedy decrements gains; it must do so on a copy.
     val (_, trimCtx) = inputs.head
     val sel = TrimB.select(trimCtx, 0.5, 4)
     assert(sel.seeds.length == 4)

@@ -56,19 +56,50 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("ltChosen empirical distribution matches weights") {
-    val g = CompactGraph.fromEdges(3, Seq((0, 2, 0.2), (1, 2, 0.5)))
-    var c0 = 0; var c1 = 0; var none = 0
-    (0 until 20000).foreach { s =>
-      new Realization(g, DiffusionModel.LT, s.toLong).ltChosen(2) match {
-        case 0 => c0 += 1
-        case 1 => c1 += 1
-        case -1 => none += 1
-        case other => fail(s"unexpected edge $other")
+    // Node 2 walks its in-edges (unequal p); node 3's three in-edges share
+    // p = 0.25, so it takes the O(1) rule, "none" included.
+    val g = CompactGraph.fromEdges(4, Seq((0, 2, 0.2), (1, 2, 0.5), (0, 3, 0.25), (1, 3, 0.25), (2, 3, 0.25)))
+    assert(g.sharedP(2).isNaN && g.sharedP(3) == 0.25)
+    // Weights by the chosen in-edge's source, -1 for "none".
+    for ((v, weights) <- Seq(2 -> Map(0 -> 0.2, 1 -> 0.5, -1 -> 0.3),
+                             3 -> Map(0 -> 0.25, 1 -> 0.25, 2 -> 0.25, -1 -> 0.25))) {
+      val picks = (0 until 20000).map { s =>
+        val e = new Realization(g, DiffusionModel.LT, s.toLong).ltChosen(v)
+        assert(e == -1 || g.dsts(e) == v, s"node $v picked edge $e")
+        if (e < 0) -1 else g.srcs(e)
+      }
+      weights.foreach { case (u, w) =>
+        val freq = picks.count(_ == u) / 20000.0
+        assert(math.abs(freq - w) < 0.02, s"node $v, source $u: $freq against $w")
       }
     }
-    assert(math.abs(c0 / 20000.0 - 0.2) < 0.02)
-    assert(math.abs(c1 / 20000.0 - 0.5) < 0.02)
-    assert(math.abs(none / 20000.0 - 0.3) < 0.02)
+  }
+
+  test("ltChosen picks the in-edge that the walk over its in-edge CDF picks, on every node of the four datasets") {
+    // The walk every node took before the O(1) rule, on the same uniform.
+    def walk(g: CompactGraph, seed: Long, v: Int): Int = {
+      val u = Rng.uniform(seed, 0x517cc1b727220a95L ^ v.toLong)
+      var acc = 0.0
+      var i = g.inOff(v)
+      while (i < g.inOff(v + 1)) {
+        val e = g.inEdge(i)
+        acc += g.probs(e)
+        if (u < acc) return e
+        i += 1
+      }
+      -1
+    }
+    for (spec <- GraphGen.datasets; g = GraphGen.dataset(spec.name, scale = 1.0)) {
+      assert((0 until g.n).count(v => !g.sharedP(v).isNaN) > g.n / 4, spec.name)
+      (0 until 20).foreach { s =>
+        val r = new Realization(g, DiffusionModel.LT, Rng.state(41L, s))
+        var v = 0
+        while (v < g.n) {
+          if (r.ltChosen(v) != walk(g, r.seed, v)) fail(s"${spec.name}, seed ${r.seed}, node $v")
+          v += 1
+        }
+      }
+    }
   }
 
   test("forwardReachable on deterministic line covers everything") {
@@ -257,15 +288,14 @@ class RealizationSpec extends AnyFunSuite with SparkSpec {
 
   test("the per-thread scratch across its epoch wrap gives the same reached sets") {
     val largest = contract.map(_._2.graph.n).max
-    val s = Realization.scratch(largest, lt = true)
+    val s = Realization.scratch(largest)
     s.epoch = Int.MaxValue - 5
-    // IC and LT calls alternate, so LT's cached draws span the wrap too.
     val (ic, lt) = contract.take(12).splitAt(6)
     val calls = ic.zip(lt).flatMap { case (a, b) => Seq(a, b) }
     calls.foreach { case (name, r, seeds, eligible, ref) =>
       assert(r.forwardReachable(seeds, eligible).toSeq == ref, name)
     }
-    assert(Realization.scratch(largest, lt = true) eq s, "the scratch was replaced")
+    assert(Realization.scratch(largest) eq s, "the scratch was replaced")
     assert(s.epoch > 0 && s.epoch < calls.length, s"epoch ${s.epoch} did not wrap")
   }
 

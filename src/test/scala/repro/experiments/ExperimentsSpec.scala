@@ -30,7 +30,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     // The same values passed to the runners directly.
     assert(rejection(GraphGen.dataset("nethept", scale = 0.0)).contains("scale = 0.0 must be positive"))
     val g = GraphGen.dataset("nethept", scale = 0.05)
-    assert(rejection(Table3.runCell(g, "nethept", IC, 0.1, realizations = 0, eps = 0.5, seed = 1L))
+    assert(rejection(Table3.runCell(g, "nethept", IC, 0.1, realizations = 0, seed = 1L))
              .contains("realizations = 0 must be at least 1"))
     assert(rejection(AlgoComparison.run("nethept", IC, 0.1, realizations = 0, scale = 0.05))
              .contains("realizations = 0 must be at least 1"))
@@ -71,7 +71,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   test("Table3.runCell: ASTI reaches η and fields are consistent") {
     val g = GraphGen.dataset("nethept", scale = 0.05)
     val cell = Table3.runCell(g, "nethept", IC, etaFrac = 0.1,
-                              realizations = 2, eps = 0.5, seed = 1L)
+                              realizations = 2, seed = 1L)
     assert(cell.eta == (g.n * 0.1).toInt)
     assert(cell.astiAvgSeeds > 0)
     assert(cell.ateucSeeds > 0)
@@ -100,7 +100,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
 
   test("AlgoComparison runs all six algorithms on a tiny config") {
     val rows = AlgoComparison.run("nethept", IC, etaFrac = 0.1,
-                                  realizations = 2, eps = 0.5, scale = 0.05, seed = 4L)
+                                  realizations = 2, scale = 0.05, seed = 4L)
     assert(rows.map(_.algo) == Seq("ASTI", "ASTI-2", "ASTI-4", "ASTI-8", "ADAPTIM", "ATEUC"))
     // Adaptive algorithms are reliable by construction (§6.4).
     rows.filterNot(_.algo == "ATEUC").foreach { r =>
